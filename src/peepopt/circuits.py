@@ -174,11 +174,6 @@ def apply_unitary(mat: np.ndarray, u: np.ndarray, qubits: Sequence[int], n: int)
     return np.ascontiguousarray(t.reshape(dim, dim))
 
 
-def apply_unitary_right(mat: np.ndarray, u: np.ndarray, qubits: Sequence[int], n: int) -> np.ndarray:
-    """Return ``mat @ embed(u)``; embedding commutes with transposition."""
-    return apply_unitary(mat.T, u.T, qubits, n).T
-
-
 def unitary_of(circuit: Circuit) -> np.ndarray:
     """Exact unitary of a circuit: the product of its gates in application order."""
     dim = 1 << circuit.num_qubits

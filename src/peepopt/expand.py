@@ -8,8 +8,6 @@ distance with multi-start finite-difference gradient descent.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -343,21 +341,9 @@ def expand_all(
     d_keep: float = 0.3,
     seed=0,
     budget: OptBudget | None = None,
-    workers: int | None = None,
 ) -> ApproximationSet:
-    """Expand every block; blocks are independent and may run concurrently.
-
-    Worker count defaults to the PEEPOPT_THREADS environment variable.
-    """
-    if workers is None:
-        workers = int(os.environ.get("PEEPOPT_THREADS", "1"))
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            candidates = list(
-                pool.map(lambda b: expand_block(b, d_keep, seed, budget), blocks)
-            )
-    else:
-        candidates = [expand_block(b, d_keep, seed, budget) for b in blocks]
+    """Expand every block in order, one after the other."""
+    candidates = [expand_block(b, d_keep, seed, budget) for b in blocks]
     return ApproximationSet(num_qubits, list(blocks), candidates)
 
 

@@ -53,7 +53,7 @@ class PartitionGraph:
         return self.edges[(i, j)]
 
 
-def _make_block(block_id, qubits, gates, span, originals):
+def _make_block(block_id, qubits, gates, span):
     qubits = tuple(sorted(qubits))
     local_index = {q: i for i, q in enumerate(qubits)}
     local_gates = tuple(
@@ -92,13 +92,13 @@ def scan_partition(circuit: Circuit, k: int) -> list[PartitionBlock]:
         if len(grown) <= k:
             active = grown
         else:
-            blocks.append(_make_block(len(blocks), active, cur_gates, cur_span, circuit))
+            blocks.append(_make_block(len(blocks), active, cur_gates, cur_span))
             active = set(g.qubits)
             cur_gates, cur_span = [], []
         cur_gates.append(g)
         cur_span.append(idx)
     if cur_gates:
-        blocks.append(_make_block(len(blocks), active, cur_gates, cur_span, circuit))
+        blocks.append(_make_block(len(blocks), active, cur_gates, cur_span))
     return blocks
 
 

@@ -29,6 +29,7 @@ from .qasm import emit_qasm, parse_qasm
 from .recombine import (
     CONFIGURATIONS,
     AnnealerConfig,
+    Mode,
     ObjectiveConfig,
     Solution,
     reassemble,
@@ -184,7 +185,7 @@ def evaluate_circuit(path: str, cfg: RunConfig) -> CircuitReport:
         approx = expand_all(
             blocks, circuit.num_qubits, cfg.d_keep, cfg.seed, cfg.budget()
         )
-        if any(CONFIGURATIONS[name][1].value == "basic_err" for name in cfg.configs):
+        if any(CONFIGURATIONS[name][1] is Mode.BASIC_ERR for name in cfg.configs):
             score_candidates(approx, cfg.noise)
     except ValueError as exc:
         raise PipelineError("expand", str(exc)) from exc

@@ -3,13 +3,16 @@
 A solution assigns one candidate index to every partition block.  Solutions
 are scored by a three-part objective (approximation error, complexity or
 noisy-fidelity reduction, differentiation from already-selected circuits)
-and explored either iteratively (one generalized-simulated-annealing run
-per result circuit) or with a population annealer that updates all result
-circuits in each timestep.
+that reads distance tables built once per objective.  One generalized
+simulated-annealing loop explores the choice space: the population engine
+runs it with all c result circuits as members, updated together in each
+timestep; the iterative engine runs it once per result circuit with a
+single member.
 """
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -67,68 +70,6 @@ class AnnealerConfig:
             raise ValueError(f"q_v must be in (1, 3), got {self.q_v}")
 
 
-class DistanceMemo:
-    """Memo of candidate-pair HS distances, keyed (block, index, index)."""
-
-    def __init__(self, approx: ApproximationSet):
-        self.approx = approx
-        self._table: dict[tuple[int, int, int], float] = {}
-
-    def get(self, block: int, i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        if i > j:
-            i, j = j, i
-        key = (block, i, j)
-        value = self._table.get(key)
-        if value is None:
-            cands = self.approx.candidates[block]
-            value = hs_distance(cands[i].unitary, cands[j].unitary)
-            self._table[key] = value
-        return value
-
-    def items(self):
-        return self._table.items()
-
-
-class CascadeCache:
-    """Pair unitaries and pair distances for the cascaded error metric."""
-
-    def __init__(self, approx: ApproximationSet, graph: PartitionGraph):
-        self.approx = approx
-        self.graph = graph
-        self._embeddings = {
-            e: pair_embedding(approx.blocks, *e) for e in graph.edges
-        }
-        self._unitaries: dict[tuple, np.ndarray] = {}
-        self._distances: dict[tuple, float] = {}
-
-    def unitary(self, edge: tuple[int, int], ci: int, cj: int) -> np.ndarray:
-        key = (edge, ci, cj)
-        u = self._unitaries.get(key)
-        if u is None:
-            union, pos_i, pos_j = self._embeddings[edge]
-            i, j = edge
-            u = pair_unitary(
-                self.approx.candidates[i][ci].unitary,
-                self.approx.candidates[j][cj].unitary,
-                pos_i,
-                pos_j,
-                len(union),
-            )
-            self._unitaries[key] = u
-        return u
-
-    def distance(self, edge: tuple[int, int], ci: int, cj: int) -> float:
-        """HS distance of the chosen pair unitary to the original pair."""
-        key = (edge, ci, cj)
-        d = self._distances.get(key)
-        if d is None:
-            d = hs_distance(self.unitary(edge, 0, 0), self.unitary(edge, ci, cj))
-            self._distances[key] = d
-        return d
-
-
 def pair_unitary_table(
     unitaries_i: Sequence[np.ndarray],
     unitaries_j: Sequence[np.ndarray],
@@ -144,32 +85,75 @@ def pair_unitary_table(
     ]
 
 
+@dataclass(frozen=True)
+class ObjectiveTables:
+    """Distances the objective reads, computed once per objective and never
+    written afterwards.
+
+    ``pair_distances[b][i][j]`` is the HS distance between candidates i and
+    j of block b.  In cascade mode ``edge_distances[e][ci][cj]`` is the HS
+    distance of the cascaded pair unitary for edge e under choices
+    (ci, cj) to the original pair, and ``incident[b]`` lists the
+    ``(edge, weight)`` pairs touching block b.
+    """
+
+    pair_distances: tuple[list[list[float]], ...]
+    edge_distances: dict[tuple[int, int], list[list[float]]] | None = None
+    incident: tuple[tuple[tuple[tuple[int, int], int], ...], ...] | None = None
+
+    @classmethod
+    def build(cls, approx: ApproximationSet,
+              graph: PartitionGraph | None = None) -> "ObjectiveTables":
+        """Candidate-pair tables for every block; with a graph, also the
+        cascade tables for every edge."""
+        unitaries = [[c.unitary for c in cands] for cands in approx.candidates]
+        pair_distances = []
+        for us in unitaries:
+            table = [[0.0] * len(us) for _ in us]
+            for i, j in itertools.combinations(range(len(us)), 2):
+                table[i][j] = table[j][i] = hs_distance(us[i], us[j])
+            pair_distances.append(table)
+        if graph is None:
+            return cls(tuple(pair_distances))
+        edge_distances = {}
+        for i, j in graph.edges:
+            union, pos_i, pos_j = pair_embedding(approx.blocks, i, j)
+            pairs = pair_unitary_table(unitaries[i], unitaries[j], pos_i, pos_j, len(union))
+            edge_distances[(i, j)] = [
+                [hs_distance(pairs[0][0], u) for u in row] for row in pairs
+            ]
+        incident = tuple(
+            tuple((e, graph.edges[e]) for e in graph.incident(b))
+            for b in range(len(approx.blocks))
+        )
+        return cls(tuple(pair_distances), edge_distances, incident)
+
+
 def circuit_error_basic(sol: Solution, approx: ApproximationSet) -> float:
-    """Sum of chosen-candidate HS distances; upper-bounds the full-circuit
-    process distance."""
+    """Sum of chosen-candidate HS distances: the paper's additive estimate of
+    the full-circuit process distance.  The sum is not an upper bound on that
+    distance; the bound that holds is (sum of sqrt(d_b))^2."""
     return sum(approx.candidates[b][c].hs_distance for b, c in enumerate(sol))
 
 
 def circuit_error_cascade(
     sol: Solution, approx: ApproximationSet, graph: PartitionGraph,
-    cache: CascadeCache | None = None,
+    tables: ObjectiveTables | None = None,
 ) -> float:
     """Per-block weighted average of incident pair distances, summed over
     blocks; isolated blocks fall back to their own HS distance."""
-    if cache is None:
-        cache = CascadeCache(approx, graph)
+    if tables is None:
+        tables = ObjectiveTables.build(approx, graph)
     total = 0.0
-    for b in range(len(approx.blocks)):
-        incident = graph.incident(b)
+    for b, incident in enumerate(tables.incident):
         if not incident:
             total += approx.candidates[b][sol[b]].hs_distance
             continue
         num = 0.0
         den = 0.0
-        for edge in incident:
+        for edge, w in incident:
             i, j = edge
-            w = graph.edges[edge]
-            num += w * cache.distance(edge, sol[i], sol[j])
+            num += w * tables.edge_distances[edge][sol[i]][sol[j]]
             den += w
         total += num / den
     return total
@@ -179,18 +163,20 @@ def differentiation(
     sol: Solution,
     others: Sequence[Solution],
     approx: ApproximationSet,
-    memo: DistanceMemo | None = None,
+    tables: ObjectiveTables | None = None,
 ) -> float:
     """Fraction of existing solutions that the candidate fails to differ
     from: the distance to each is compared against both approximation
     errors.  Empty existing set scores 0."""
     if not others:
         return 0.0
-    memo = memo or DistanceMemo(approx)
+    if tables is None:
+        tables = ObjectiveTables.build(approx)
+    pair = tables.pair_distances
     e_sol = circuit_error_basic(sol, approx)
     t = 0
     for s in others:
-        d = sum(memo.get(b, sol[b], s[b]) for b in range(len(sol)))
+        d = sum(pair[b][sol[b]][s[b]] for b in range(len(sol)))
         if d <= max(e_sol, circuit_error_basic(s, approx)):
             t += 1
     return t / len(others)
@@ -212,19 +198,20 @@ def objective(
     approx: ApproximationSet,
     graph: PartitionGraph | None,
     cfg: ObjectiveConfig,
-    memo: DistanceMemo | None = None,
-    cascade_cache: CascadeCache | None = None,
+    tables: ObjectiveTables | None = None,
 ) -> float:
     """Annealing objective: duplicate check, then error threshold, then the
     weighted complexity/differentiation score."""
     sol = tuple(sol)
     if not cfg.allow_duplicates and any(tuple(s) == sol for s in others):
         return DUPLICATE_PENALTY
+    if cfg.mode is Mode.CASCADE and graph is None:
+        raise ValueError("cascade mode requires a partition graph")
+    if tables is None:
+        tables = ObjectiveTables.build(approx, graph if cfg.mode is Mode.CASCADE else None)
     if cfg.mode is not Mode.BASIC_ERR:
         if cfg.mode is Mode.CASCADE:
-            if graph is None:
-                raise ValueError("cascade mode requires a partition graph")
-            err = circuit_error_cascade(sol, approx, graph, cascade_cache)
+            err = circuit_error_cascade(sol, approx, graph, tables)
         else:
             err = circuit_error_basic(sol, approx)
         if err > cfg.epsilon:
@@ -243,7 +230,7 @@ def objective(
             if orig
             else 0.0
         )
-    t = differentiation(sol, others, approx, memo)
+    t = differentiation(sol, others, approx, tables)
     return cfg.w * g + (1.0 - cfg.w) * t
 
 
@@ -252,11 +239,10 @@ def make_objective(
     graph: PartitionGraph | None,
     cfg: ObjectiveConfig,
 ) -> Callable[[Solution, Sequence[Solution]], float]:
-    """Bind the shared caches and return f(solution, others) -> value."""
-    memo = DistanceMemo(approx)
-    cache = CascadeCache(approx, graph) if cfg.mode is Mode.CASCADE else None
+    """Build the distance tables once and return f(solution, others) -> value."""
+    tables = ObjectiveTables.build(approx, graph if cfg.mode is Mode.CASCADE else None)
     def f(sol, others):
-        return objective(sol, others, approx, graph, cfg, memo, cache)
+        return objective(sol, others, approx, graph, cfg, tables)
     return f
 
 
@@ -335,49 +321,11 @@ def decode(x: np.ndarray, bounds: Sequence[int]) -> Solution:
     )
 
 
-def dual_anneal(
-    f: Callable[[Solution], float],
-    bounds: Sequence[int],
-    cfg: AnnealerConfig,
-) -> tuple[Solution, float]:
-    """Generalized simulated annealing over the discrete choice space.
-
-    Operates on a continuous vector in the product of [0, a_b) intervals,
-    decoded by floor; reanneals from the best point when the temperature
-    floor is reached.  Deterministic per seed.
-    """
-    p = len(bounds)
-    if p < 1:
+def _box(bounds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper corners of the continuous search box."""
+    if len(bounds) < 1:
         raise ValueError("need at least one block")
-    lower = np.zeros(p)
-    upper = np.array(bounds, dtype=float)
-    max_iterations = cfg.max_iterations or 1000 * p
-    rng = np.random.default_rng(cfg.seed)
-    visitor = _Visitor(cfg.q_v, lower, upper)
-
-    x = rng.uniform(lower, upper)
-    e_cur = f(decode(x, bounds))
-    best_x, best_e = x.copy(), e_cur
-
-    since_restart = 0
-    for it in range(max_iterations):
-        temperature = _temperature(cfg.initial_temperature, since_restart, cfg.q_v)
-        if temperature < cfg.initial_temperature * cfg.restart_temp_ratio:
-            x = best_x.copy()
-            e_cur = best_e
-            since_restart = 0
-            temperature = _temperature(cfg.initial_temperature, 0, cfg.q_v)
-        t_step = temperature / float(it + 1)
-        for j in range(2 * p):
-            dim = None if j < p else j - p
-            x_visit = visitor.visit(x, temperature, rng, dim)
-            e_new = f(decode(x_visit, bounds))
-            if e_new < best_e:
-                best_x, best_e = x_visit.copy(), e_new
-            if _accept(e_new, e_cur, t_step, cfg.q_a, rng):
-                x, e_cur = x_visit, e_new
-        since_restart += 1
-    return decode(best_x, bounds), best_e
+    return np.zeros(len(bounds)), np.array(bounds, dtype=float)
 
 
 @dataclass
@@ -387,6 +335,80 @@ class _Member:
     e_cur: float
     best_x: np.ndarray
     best_e: float
+
+
+def _anneal(
+    f: Callable[[Solution, list[Solution]], float],
+    bounds: Sequence[int],
+    cfg: AnnealerConfig,
+    starts: list[tuple[np.ndarray, np.random.Generator]],
+) -> list[tuple[Solution, float]]:
+    """The annealing loop shared by both engines: one member per start
+    point, each visiting with its own generator.
+
+    Every timestep updates all members; each evaluation receives the other
+    members' current decoded solutions (never its own).  Reannealing
+    restarts every member from its saved best.  Returns the per-member best
+    solutions in member order.
+    """
+    lower, upper = _box(bounds)
+    p = len(bounds)
+    max_iterations = cfg.max_iterations or 1000 * p
+    visitor = _Visitor(cfg.q_v, lower, upper)
+
+    members: list[_Member] = []
+    snapshot = [decode(x0, bounds) for x0, _ in starts]
+    for idx, (x0, rng) in enumerate(starts):
+        e0 = f(snapshot[idx], snapshot[:idx] + snapshot[idx + 1 :])
+        members.append(_Member(x0.copy(), rng, e0, x0.copy(), e0))
+
+    since_restart = 0
+    for it in range(max_iterations):
+        temperature = _temperature(cfg.initial_temperature, since_restart, cfg.q_v)
+        if temperature < cfg.initial_temperature * cfg.restart_temp_ratio:
+            for m in members:
+                m.x = m.best_x.copy()
+                m.e_cur = m.best_e
+            since_restart = 0
+            temperature = _temperature(cfg.initial_temperature, 0, cfg.q_v)
+        t_step = temperature / float(it + 1)
+        snapshot = [decode(m.x, bounds) for m in members]
+        for idx, m in enumerate(members):
+            others = snapshot[:idx] + snapshot[idx + 1 :]
+            if len(members) > 1:
+                # Re-score the current point: the landscape moves with the
+                # others.  A lone member's others never change.
+                m.e_cur = f(snapshot[idx], others)
+                if m.e_cur < m.best_e:
+                    m.best_x, m.best_e = m.x.copy(), m.e_cur
+            for j in range(2 * p):
+                dim = None if j < p else j - p
+                x_visit = visitor.visit(m.x, temperature, m.rng, dim)
+                e_new = f(decode(x_visit, bounds), others)
+                if e_new < m.best_e:
+                    m.best_x, m.best_e = x_visit.copy(), e_new
+                if _accept(e_new, m.e_cur, t_step, cfg.q_a, m.rng):
+                    m.x, m.e_cur = x_visit, e_new
+        since_restart += 1
+    return [(decode(m.best_x, bounds), m.best_e) for m in members]
+
+
+def dual_anneal(
+    f: Callable[[Solution], float],
+    bounds: Sequence[int],
+    cfg: AnnealerConfig,
+) -> tuple[Solution, float]:
+    """Generalized simulated annealing over the discrete choice space.
+
+    Operates on a continuous vector in the product of [0, a_b) intervals,
+    decoded by floor; reanneals from the best point when the temperature
+    floor is reached.  This is the shared loop with a single member whose
+    generator also draws its start.  Deterministic per seed.
+    """
+    lower, upper = _box(bounds)
+    rng = np.random.default_rng(cfg.seed)
+    x0 = rng.uniform(lower, upper)
+    return _anneal(lambda s, others: f(s), bounds, cfg, [(x0, rng)])[0]
 
 
 def _member_rng(seed: int, x0: np.ndarray) -> np.random.Generator:
@@ -403,63 +425,21 @@ def population_anneal(
     c: int,
     initial: list[np.ndarray] | None = None,
 ) -> list[tuple[Solution, float]]:
-    """Anneal c solutions simultaneously.
-
-    Every timestep updates all members; each evaluation receives the other
-    members' current decoded solutions (never its own).  Reannealing
-    restarts every member from its saved best.  Returns the per-member best
-    solutions in member order.
-    """
+    """Anneal c solutions simultaneously in the shared loop; each member's
+    generator is seeded from its initial point."""
     if c < 1:
         raise ValueError(f"population size must be positive, got {c}")
-    p = len(bounds)
-    if p < 1:
-        raise ValueError("need at least one block")
-    lower = np.zeros(p)
-    upper = np.array(bounds, dtype=float)
-    max_iterations = cfg.max_iterations or 1000 * p
-    setup_rng = np.random.default_rng(cfg.seed)
+    lower, upper = _box(bounds)
     if initial is None:
+        setup_rng = np.random.default_rng(cfg.seed)
         initial = [setup_rng.uniform(lower, upper) for _ in range(c)]
     if len(initial) != c:
         raise ValueError(f"initial population has {len(initial)} members, expected {c}")
-    visitor = _Visitor(cfg.q_v, lower, upper)
-
-    members: list[_Member] = []
-    snapshot = [decode(np.asarray(x0, dtype=float), bounds) for x0 in initial]
-    for idx, x0 in enumerate(initial):
+    starts = []
+    for x0 in initial:
         x0 = np.asarray(x0, dtype=float)
-        others = snapshot[:idx] + snapshot[idx + 1 :]
-        e0 = f(snapshot[idx], others)
-        members.append(_Member(x0.copy(), _member_rng(cfg.seed, x0), e0, x0.copy(), e0))
-
-    since_restart = 0
-    for it in range(max_iterations):
-        temperature = _temperature(cfg.initial_temperature, since_restart, cfg.q_v)
-        if temperature < cfg.initial_temperature * cfg.restart_temp_ratio:
-            for m in members:
-                m.x = m.best_x.copy()
-                m.e_cur = m.best_e
-            since_restart = 0
-            temperature = _temperature(cfg.initial_temperature, 0, cfg.q_v)
-        t_step = temperature / float(it + 1)
-        snapshot = [decode(m.x, bounds) for m in members]
-        for idx, m in enumerate(members):
-            others = snapshot[:idx] + snapshot[idx + 1 :]
-            # Re-score the current point: the landscape moves with the others.
-            m.e_cur = f(decode(m.x, bounds), others)
-            if m.e_cur < m.best_e:
-                m.best_x, m.best_e = m.x.copy(), m.e_cur
-            for j in range(2 * p):
-                dim = None if j < p else j - p
-                x_visit = visitor.visit(m.x, temperature, m.rng, dim)
-                e_new = f(decode(x_visit, bounds), others)
-                if e_new < m.best_e:
-                    m.best_x, m.best_e = x_visit.copy(), e_new
-                if _accept(e_new, m.e_cur, t_step, cfg.q_a, m.rng):
-                    m.x, m.e_cur = x_visit, e_new
-        since_restart += 1
-    return [(decode(m.best_x, bounds), m.best_e) for m in members]
+        starts.append((x0, _member_rng(cfg.seed, x0)))
+    return _anneal(f, bounds, cfg, starts)
 
 
 # --- engines ------------------------------------------------------------------
@@ -503,14 +483,15 @@ def recombine_population(
     return [sol for sol, _ in out]
 
 
-# Named configurations: (engine, mode, allow_duplicates).
-CONFIGURATIONS: dict[str, tuple[str, Mode, bool]] = {
-    "quest": ("iterative", Mode.QUEST, False),
-    "basic": ("iterative", Mode.BASIC, False),
-    "basic-err": ("iterative", Mode.BASIC_ERR, False),
-    "pop": ("population", Mode.BASIC, True),
-    "pop-err": ("population", Mode.BASIC_ERR, True),
-    "cascade": ("iterative", Mode.CASCADE, False),
+# Named configurations: (engine, mode).  Only the population engine allows
+# duplicate results.
+CONFIGURATIONS: dict[str, tuple[str, Mode]] = {
+    "quest": ("iterative", Mode.QUEST),
+    "basic": ("iterative", Mode.BASIC),
+    "basic-err": ("iterative", Mode.BASIC_ERR),
+    "pop": ("population", Mode.BASIC),
+    "pop-err": ("population", Mode.BASIC_ERR),
+    "cascade": ("iterative", Mode.CASCADE),
 }
 
 
@@ -524,12 +505,13 @@ def recombine(
 ) -> list[Solution]:
     """Run one of the six named recombination configurations."""
     try:
-        engine, mode, allow_dup = CONFIGURATIONS[name]
+        engine, mode = CONFIGURATIONS[name]
     except KeyError:
         raise ValueError(
             f"unknown configuration '{name}'; choose from {sorted(CONFIGURATIONS)}"
         ) from None
-    cfg = replace(obj_cfg, mode=mode, allow_duplicates=allow_dup)
+    # recombine_population turns duplicates back on for its engine.
+    cfg = replace(obj_cfg, mode=mode, allow_duplicates=False)
     if engine == "iterative":
         return recombine_iterative(approx, graph, cfg, ann_cfg, c)
     return recombine_population(approx, graph, cfg, ann_cfg, c)

@@ -178,13 +178,3 @@ class TestApproximationSet:
         assert all(s is not None for s in scores)
         score_candidates(approx, noise)
         assert scores == [c.fidelity_score for cands in approx.candidates for c in cands]
-
-    def test_expand_all_matches_serial(self):
-        circ = Circuit(3, (cx(0, 1), rx(0.5, 2), cx(1, 2)))
-        blocks = scan_partition(circ, 2)
-        serial = expand_all(blocks, 3, 0.4, 0, FAST, workers=1)
-        threaded = expand_all(blocks, 3, 0.4, 0, FAST, workers=4)
-        assert serial.counts() == threaded.counts()
-        for a_cands, b_cands in zip(serial.candidates, threaded.candidates):
-            for a, b in zip(a_cands, b_cands):
-                assert a.local_circuit == b.local_circuit

@@ -10,7 +10,6 @@ from peepopt.recombine import (
     DUPLICATE_PENALTY,
     QUEST_THRESHOLD_PENALTY,
     AnnealerConfig,
-    CascadeCache,
     Mode,
     ObjectiveConfig,
     circuit_error_basic,
@@ -18,6 +17,7 @@ from peepopt.recombine import (
     decode,
     differentiation,
     dual_anneal,
+    make_objective,
     objective,
     population_anneal,
     reassemble,
@@ -94,16 +94,35 @@ class TestErrorMetrics:
         d = hs_distance(orig_pair, new_pair)
         assert got == pytest.approx(2 * d, abs=1e-12)  # both blocks score d
 
-    def test_cascade_cache_consistency(self):
-        circ = Circuit(3, (cx(0, 1), cx(1, 2), cx(0, 2)))
+
+class TestObjectiveTables:
+    def test_bound_objective_matches_unbound_in_every_mode(self):
+        # Three expanded blocks; the objective bound to tables built once
+        # must agree with objective() building its own tables per call.
+        circ = Circuit(3, (cx(0, 1), rx(0.3, 0), cx(1, 0), cx(1, 2), rz(0.5, 2),
+                           cx(2, 1), cx(0, 2)))
         blocks = scan_partition(circ, 2)
         graph = build_partition_graph(blocks)
         approx = expand_all(blocks, 3, 1.0, 0, OptBudget(restarts=2, max_iters=40))
-        cache = CascadeCache(approx, graph)
-        for sol in [(0,) * 3, tuple(min(1, a - 1) for a in approx.counts())]:
-            assert circuit_error_cascade(sol, approx, graph, cache) == pytest.approx(
-                circuit_error_cascade(sol, approx, graph), abs=1e-12
-            )
+        from peepopt.expand import score_candidates
+        from peepopt.noise import NoiseModel
+        score_candidates(approx, NoiseModel(p1=0.001, p2=0.01))
+        counts = approx.counts()
+        assert len(counts) == 3 and max(counts) > 2
+        rng = np.random.default_rng(4)
+
+        def draw():
+            return tuple(int(rng.integers(a)) for a in counts)
+
+        for mode in Mode:
+            for epsilon in (0.05, 1.0):
+                cfg = ObjectiveConfig(epsilon=epsilon, mode=mode)
+                f = make_objective(approx, graph, cfg)
+                for _ in range(15):
+                    sol = draw()
+                    others = [draw() for _ in range(int(rng.integers(4)))]
+                    assert f(sol, others) == objective(
+                        sol, others, approx, graph, cfg), (mode, sol, others)
 
 
 class TestDifferentiation:
@@ -210,6 +229,14 @@ class TestAnnealerPrimitives:
         f = lambda s: float(sum(s))
         cfg = AnnealerConfig(max_iterations=100, seed=9)
         assert dual_anneal(f, (4, 4), cfg) == dual_anneal(f, (4, 4), cfg)
+
+    def test_dual_anneal_call_count(self):
+        # One member: no per-timestep re-score, so one initial evaluation
+        # plus 2p visits per iteration.
+        calls = []
+        f = lambda s: calls.append(s) or float(sum(s))
+        dual_anneal(f, (3, 2, 4), AnnealerConfig(max_iterations=25, seed=2))
+        assert len(calls) == 1 + 25 * 2 * 3
 
     def test_population_degenerate_bounds(self):
         out = population_anneal(lambda s, o: float(sum(s)), (1, 1),

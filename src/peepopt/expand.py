@@ -349,11 +349,12 @@ def expand_all(
 
 def score_candidates(approx: ApproximationSet, noise) -> None:
     """Fill every candidate's noisy-fidelity score in place (idempotent)."""
-    from .noise import block_fidelity_score
+    from .noise import NoiseModel, block_fidelity_score, simulate_density
 
     for block, cands in zip(approx.blocks, approx.candidates):
-        for cand in cands:
-            if cand.fidelity_score is None:
-                cand.fidelity_score = block_fidelity_score(
-                    cand.local_circuit, block.local_circuit, noise
-                )
+        unscored = [cand for cand in cands if cand.fidelity_score is None]
+        if not unscored:
+            continue
+        ideal = simulate_density(block.local_circuit, NoiseModel.zero())
+        for cand in unscored:
+            cand.fidelity_score = block_fidelity_score(cand.local_circuit, ideal, noise)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import Circuit, GateKind, apply_unitary, gate_matrix
+from .circuits import Circuit, gate_matrix
 
 
 class DimensionError(ValueError):
@@ -89,54 +89,44 @@ class NoiseModel:
         }
 
 
-def _depolarize(rho: np.ndarray, qubits: tuple[int, ...], p: float, n: int) -> np.ndarray:
-    """rho -> (1-p) rho + p * Tr_S(rho) (x) I/2^|S| on the gate's qubit set S."""
-    if p == 0.0:
-        return rho
-    m = len(qubits)
-    t = rho.reshape((2,) * (2 * n))
-    # Trace out the gate qubits: contract row axis with matching column axis.
-    axes = sorted(n - 1 - q for q in qubits)
-    reduced = t
-    for offset, a in enumerate(axes):
-        a -= offset  # earlier traces removed one row and one col axis each
-        reduced = np.trace(reduced, axis1=a, axis2=a + (n - offset))
-    # Tensor the maximally mixed state back in at the traced positions.
-    eye = np.eye(1 << m, dtype=complex).reshape((2,) * (2 * m)) / (1 << m)
-    rest = n - m
-    mixed = np.tensordot(reduced, eye, axes=0)
-    # mixed axes: rest rows, rest cols, S rows, S cols -> interleave back.
-    src_rows = list(range(2 * rest, 2 * rest + m))
-    src_cols = list(range(2 * rest + m, 2 * rest + 2 * m))
-    rest_axes = [a for a in range(n) if a not in axes]
-    perm_src = src_rows + src_cols
-    perm_dst = axes + [a + n for a in axes]
-    # Remaining (rest) axes must land on rest_axes and rest_axes + n.
-    perm_src += list(range(rest)) + list(range(rest, 2 * rest))
-    perm_dst += rest_axes + [a + n for a in rest_axes]
-    mixed = np.moveaxis(mixed, perm_src, perm_dst)
-    dim = 1 << n
-    return (1.0 - p) * rho + p * mixed.reshape(dim, dim)
+def _gate_channel(u: np.ndarray, p: float) -> np.ndarray:
+    """Superoperator of ``rho -> (1-p) U rho U^dag + p Tr(rho) I/d`` on row-major vec(rho).
+
+    Row-major vectorization maps ``U rho U^dag`` to ``kron(U, U*)`` and the
+    fully depolarized output ``Tr(rho) I/d`` to ``outer(vec(I)/d, vec(I))``.
+    """
+    d = u.shape[0]
+    channel = (1.0 - p) * np.kron(u, u.conj())
+    if p:
+        vec_eye = np.eye(d).reshape(-1)
+        channel += (p / d) * np.outer(vec_eye, vec_eye)
+    return channel
 
 
 def simulate_density(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
     """Density matrix of the circuit run from |0...0> under the noise model.
 
     Each gate acts as rho -> U rho U^dag followed by a depolarizing channel
-    on the gate's qubits.  Readout error is not applied here.
+    on the gate's qubits, fused into one 4^m x 4^m superoperator
+    (``_gate_channel``) that is contracted with the gate's row and column
+    axes of rho held as a 2n-axis tensor.  Readout error is not applied here.
     """
     n = circuit.num_qubits
     if n > 12:
         raise DimensionError(f"{n} qubits exceeds the 12-qubit density limit")
     dim = 1 << n
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[0, 0] = 1.0
+    # Axes (row qubit n-1, ..., row qubit 0, col qubit n-1, ..., col qubit 0).
+    rho = np.zeros((2,) * (2 * n), dtype=complex)
+    rho[(0,) * (2 * n)] = 1.0
     for g in circuit.gates:
-        u = gate_matrix(g)
-        rho = apply_unitary(rho, u, g.qubits, n)
-        rho = apply_unitary(rho.conj().T, u, g.qubits, n).conj().T
-        rho = _depolarize(rho, g.qubits, noise.gate_prob(g.qubits), n)
-    return rho
+        m = len(g.qubits)
+        rows = [n - 1 - q for q in g.qubits]
+        axes = rows + [a + n for a in rows]
+        channel = _gate_channel(gate_matrix(g), noise.gate_prob(g.qubits))
+        rho = np.tensordot(channel.reshape((2,) * (4 * m)), rho,
+                           axes=(list(range(2 * m, 4 * m)), axes))
+        rho = np.moveaxis(rho, list(range(2 * m)), axes)
+    return rho.reshape(dim, dim)
 
 
 def measure_distribution(
@@ -187,12 +177,17 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def block_fidelity_score(candidate_circuit: Circuit, original_circuit: Circuit,
+def block_fidelity_score(candidate_circuit: Circuit, original: Circuit | np.ndarray,
                          noise: NoiseModel) -> float:
     """Frobenius distance between the original block's ideal density matrix
-    and the candidate's density matrix under noise (readout disabled)."""
-    if candidate_circuit.num_qubits != original_circuit.num_qubits:
+    and the candidate's density matrix under noise (readout disabled).
+
+    ``original`` is the block's circuit or, to score many candidates of one
+    block without simulating it again, its noiseless density matrix.
+    """
+    if isinstance(original, Circuit):
+        original = simulate_density(original, NoiseModel.zero())
+    if original.shape != (1 << candidate_circuit.num_qubits,) * 2:
         raise DimensionError("candidate and block qubit counts differ")
-    ideal = simulate_density(original_circuit, NoiseModel.zero())
     noisy = simulate_density(candidate_circuit, noise.without_readout())
-    return frobenius_distance(ideal, noisy)
+    return frobenius_distance(original, noisy)

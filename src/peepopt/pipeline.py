@@ -104,10 +104,13 @@ def ideal_distribution(circuit: Circuit) -> np.ndarray:
     return measure_distribution(simulate_density(circuit, NoiseModel.zero()))
 
 
+def noisy_distribution(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
+    """Exact output distribution under gate noise and readout flips."""
+    return measure_distribution(simulate_density(circuit, noise), noise.readout)
+
+
 def noisy_counts(circuit: Circuit, noise: NoiseModel, shots: int, seed) -> dict[str, int]:
-    rho = simulate_density(circuit, noise)
-    dist = measure_distribution(rho, noise.readout)
-    return sample_counts(dist, shots, seed)
+    return sample_counts(noisy_distribution(circuit, noise), shots, seed)
 
 
 def ensemble_distribution(
@@ -117,14 +120,22 @@ def ensemble_distribution(
     shots: int,
     seed,
 ) -> np.ndarray:
-    """Pooled empirical distribution of all result circuits, equal shots each."""
+    """Pooled empirical distribution of all result circuits, equal shots each.
+
+    Result i is sampled with seed ``[seed, i]``; a solution that repeats an
+    earlier one is sampled again but not simulated again.
+    """
     if not solutions:
         raise ValueError("need at least one solution")
     n = approx.num_qubits
+    base_seed = [seed] if np.ndim(seed) == 0 else list(np.atleast_1d(seed))
+    dists: dict[tuple[int, ...], np.ndarray] = {}
     pooled = np.zeros(1 << n)
     for i, sol in enumerate(solutions):
-        circuit = reassemble(sol, approx)
-        counts = noisy_counts(circuit, noise, shots, [seed, i] if np.ndim(seed) == 0 else list(np.atleast_1d(seed)) + [i])
+        key = tuple(sol)
+        if key not in dists:
+            dists[key] = noisy_distribution(reassemble(sol, approx), noise)
+        counts = sample_counts(dists[key], shots, base_seed + [i])
         pooled += counts_to_distribution(counts, n) * shots
     return pooled / pooled.sum()
 

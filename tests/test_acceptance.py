@@ -340,6 +340,7 @@ def test_criterion_06_population_contract(report):
                   f"monotone {monotone_ok}, forced duplicates {dup_ok}")
 
 
+@pytest.mark.slow
 def test_criterion_07_directional_end_to_end(report):
     start = time.perf_counter()
     fixtures = ["adder_5", "qft_5", "tfim_4", "xy_4"]

@@ -1,10 +1,12 @@
 """Unit tests for the density-matrix simulator and noise model."""
+import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from peepopt.circuits import Circuit, cx, rx, u3, unitary_of
+from peepopt.circuits import Circuit, cx, gate_matrix, rx, u3, unitary_of
 from peepopt.noise import (
     DimensionError,
     NoiseModel,
@@ -18,6 +20,34 @@ from peepopt.noise import (
 from conftest import random_circuit
 
 PI = math.pi
+_PAULIS = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+           np.diag([1.0, -1.0]))
+
+
+def _embed(ops: dict[int, np.ndarray], n: int) -> np.ndarray:
+    """Kronecker product over qubits n-1, ..., 0 of ops[q], identity elsewhere."""
+    return functools.reduce(np.kron, [ops.get(q, np.eye(2)) for q in reversed(range(n))])
+
+
+def _dense_reference(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
+    """rho -> U rho U^dag, then (1-p) rho + p/4^m sum_P P rho P^dag over the
+    Pauli strings P on the gate's m qubits, all as dense 2^n x 2^n matrices."""
+    n = circuit.num_qubits
+    rho = np.zeros((1 << n, 1 << n), dtype=complex)
+    rho[0, 0] = 1.0
+    for g in circuit.gates:
+        m = len(g.qubits)
+        local = gate_matrix(g)
+        strings = list(itertools.product(_PAULIS, repeat=m))
+        # The first-listed qubit is the high bit of the gate's local index.
+        full = [_embed(dict(zip(g.qubits, ps)), n) for ps in strings]
+        coeffs = [np.trace(functools.reduce(np.kron, ps).conj().T @ local) / (1 << m)
+                  for ps in strings]
+        u = sum(c * pm for c, pm in zip(coeffs, full))
+        rho = u @ rho @ u.conj().T
+        p = noise.gate_prob(g.qubits)
+        rho = (1 - p) * rho + p / 4**m * sum(pm @ rho @ pm.conj().T for pm in full)
+    return rho
 
 
 class TestNoiseModel:
@@ -89,6 +119,20 @@ class TestSimulateDensity:
         rho = simulate_density(circ, NoiseModel(p1=0.01, p2=0.05))
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
         assert np.min(np.linalg.eigvalsh(rho)) > -1e-10
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_dense_pauli_twirl_reference(self, n):
+        rng = np.random.default_rng(30 + n)
+        noise = NoiseModel(p1=0.02, p2=0.05,
+                           overrides={1: (0.07, 0.03), n - 1: (0.01, 0.12)})
+        for _ in range(4):
+            gates = list(random_circuit(rng, n, 16).gates)
+            # Both qubit orders, adjacent and not.
+            for g in (cx(0, 1), cx(1, 0), cx(0, n - 1), cx(n - 1, 0)):
+                gates.insert(int(rng.integers(len(gates) + 1)), g)
+            circ = Circuit(n, tuple(gates))
+            np.testing.assert_allclose(simulate_density(circ, noise),
+                                       _dense_reference(circ, noise), rtol=0, atol=1e-12)
 
     def test_dimension_limit(self):
         with pytest.raises(DimensionError):
@@ -166,6 +210,15 @@ class TestScores:
     def test_noise_displaces_exact_candidate(self):
         circ = Circuit(1, (rx(0.4, 0),))
         assert block_fidelity_score(circ, circ, NoiseModel(p1=0.01)) > 0
+
+    def test_precomputed_ideal_density_gives_same_score(self):
+        rng = np.random.default_rng(23)
+        block, cand = random_circuit(rng, 2, 8), random_circuit(rng, 2, 5)
+        noise = NoiseModel(p1=0.01, p2=0.05)
+        ideal = simulate_density(block, NoiseModel.zero())
+        assert block_fidelity_score(cand, ideal, noise) == block_fidelity_score(cand, block, noise)
+        with pytest.raises(DimensionError):
+            block_fidelity_score(Circuit(1), ideal, noise)
 
     def test_readout_ignored_by_score(self):
         circ = Circuit(1, (rx(0.4, 0),))

@@ -4,17 +4,21 @@ import json
 import numpy as np
 import pytest
 
+from peepopt import pipeline
 from peepopt.cli import main
-from peepopt.noise import NoiseModel
+from peepopt.noise import NoiseModel, counts_to_distribution
 from peepopt.pipeline import (
     PipelineError,
     RunConfig,
     cnot_reduction,
+    ensemble_distribution,
     evaluate_circuit,
     ideal_distribution,
+    noisy_counts,
     run_pipeline,
 )
 from peepopt.qasm import parse_qasm
+from peepopt.recombine import reassemble
 
 TINY = (
     'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\n'
@@ -104,6 +108,35 @@ class TestEvaluate:
         assert cnot_reduction([], approx, circuit) == 0.0
         original = tuple(0 for _ in blocks)
         assert cnot_reduction([original], approx, circuit) == 0.0
+
+    def test_ensemble_simulates_each_distinct_solution_once(self, tiny_qasm, monkeypatch):
+        from peepopt.expand import expand_all, OptBudget
+        from peepopt.partition import scan_partition
+        circuit = parse_qasm(tiny_qasm.read_text())
+        blocks = scan_partition(circuit, 2)
+        approx = expand_all(blocks, 3, 0.3, 1, OptBudget(restarts=2, max_iters=50))
+        a, b = (0,) * len(blocks), tuple(n - 1 for n in approx.counts())
+        assert a != b
+        solutions = [a, b, a, a, b]
+        noise = NoiseModel(p1=0.001, p2=0.01, readout=(0.02, 0.05, 0.01))
+        seed, shots = [4, 1], 512
+
+        simulated = []
+        real = pipeline.simulate_density
+
+        def counting(circ, model):
+            simulated.append(circ)
+            return real(circ, model)
+
+        monkeypatch.setattr(pipeline, "simulate_density", counting)
+        dist = ensemble_distribution(solutions, approx, noise, shots, seed)
+        assert len(simulated) == 2
+
+        pooled = np.zeros(1 << 3)
+        for i, sol in enumerate(solutions):
+            counts = noisy_counts(reassemble(sol, approx), noise, shots, seed + [i])
+            pooled += counts_to_distribution(counts, 3) * shots
+        assert np.array_equal(dist, pooled / pooled.sum())
 
 
 class TestRunPipeline:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -157,20 +158,30 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     return u3_matrix(*gate.params)
 
 
+@lru_cache(maxsize=None)
+def _apply_plan(qubits: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis permutations that bring a gate's row axes to the front and back."""
+    axes = [n - 1 - q for q in qubits]
+    front = tuple(axes + [a for a in range(n + 1) if a not in axes])
+    back = tuple(int(i) for i in np.argsort(front))
+    return front, back
+
+
 def apply_unitary(mat: np.ndarray, u: np.ndarray, qubits: Sequence[int], n: int) -> np.ndarray:
     """Return ``embed(u) @ mat`` without forming the embedded operator.
 
     ``u`` acts on ``qubits`` (first-listed qubit = high bit of u's local
-    index) inside an ``n``-qubit system; ``mat`` is ``2^n x 2^n``.
+    index) inside an ``n``-qubit system; ``mat`` is ``2^n x 2^n``.  This is
+    ``np.tensordot`` over the gate's row axes followed by ``np.moveaxis``,
+    spelled out with cached permutations because the fitting loop calls it
+    for every gate of every trial.
     """
     m = len(qubits)
     dim = 1 << n
+    front, back = _apply_plan(tuple(qubits), n)
     # Row axes ordered (qubit n-1, ..., qubit 0); columns kept flat.
-    t = mat.reshape((2,) * n + (dim,))
-    axes = [n - 1 - q for q in qubits]
-    ut = u.reshape((2,) * (2 * m))
-    t = np.tensordot(ut, t, axes=(list(range(m, 2 * m)), axes))
-    t = np.moveaxis(t, list(range(m)), axes)
+    t = mat.reshape((2,) * n + (dim,)).transpose(front).reshape(1 << m, -1)
+    t = np.dot(u, t).reshape((2,) * n + (dim,)).transpose(back)
     return np.ascontiguousarray(t.reshape(dim, dim))
 
 

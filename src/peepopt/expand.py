@@ -198,14 +198,34 @@ class _TraceObjective:
                 f"target shape {target.shape} does not match {self.n} qubits"
             )
         self.adj_target = np.ascontiguousarray(target.conj().T)
-        # Einsum spec extracting, for a gate on one qubit, the 2x2 matrix L
-        # with tr(K . embed(u)) = sum_ab L[a,b] u[a,b].
-        self._l_spec: dict[int, str] = {}
+        # Every parameter belongs to one U3 op; row i of _u3_params holds the
+        # parameter indices (theta, phi, lambda) of the i-th U3 op.
+        self._u3_ops = [g for g, (kind, _, _) in enumerate(self.ops) if kind == "u3"]
+        self._u3_params = np.array(
+            [[self.ops[g][2] + j for j in range(3)] for g in self._u3_ops], dtype=np.intp
+        ).reshape(-1, 3)
+        # U3 ops grouped by qubit, each group with the einsum spec extracting,
+        # for a gate on that qubit, the 2x2 matrices L with
+        # tr(K . embed(u)) = sum_ab L[a,b] u[a,b].
+        self._l_groups = []
+        letters = "abcdefghijklmnopqrstuv"
+        for qubit in range(self.n):
+            rows = [i for i, g in enumerate(self._u3_ops) if self.ops[g][1] == (qubit,)]
+            if not rows:
+                continue
+            axis = self.n - 1 - qubit
+            row = list(letters[: self.n])
+            col = list(letters[: self.n])
+            row[axis] = "y"  # row S-bit = b
+            col[axis] = "x"  # col S-bit = a
+            spec = "Z" + "".join(row) + "".join(col) + "->Zxy"
+            self._l_groups.append((np.array(rows, dtype=np.intp), spec))
 
     def _gate_mats(self, params):
-        mats = []
-        for kind, qubits, off in self.ops:
-            mats.append(_CX if kind == "cx" else u3_matrix(*params[off : off + 3]))
+        u3s = _u3_matrices(params[self._u3_params])
+        mats = [_CX] * len(self.ops)
+        for i, g in enumerate(self._u3_ops):
+            mats[g] = u3s[i]
         return mats
 
     def value(self, params: np.ndarray) -> float:
@@ -215,23 +235,13 @@ class _TraceObjective:
             mat = apply_unitary(mat, u, qubits, self.n)
         return 1.0 - abs(np.trace(self.adj_target @ mat)) / dim
 
-    def _l_matrix(self, K: np.ndarray, qubit: int) -> np.ndarray:
-        """L[a,b] = sum_rest K[row(S=b, rest), col(S=a, rest)] for one qubit."""
-        n = self.n
-        t = K.reshape((2,) * (2 * n))
-        axis = n - 1 - qubit
-        spec = self._l_spec.get(qubit)
-        if spec is None:
-            letters = "abcdefghijklmnopqrstuv"
-            row = list(letters[:n])
-            col = list(letters[:n])
-            row[axis] = "y"  # row S-bit = b
-            col[axis] = "x"  # col S-bit = a
-            spec = "".join(row) + "".join(col) + "->xy"
-            self._l_spec[qubit] = spec
-        return np.einsum(spec, t)
-
     def value_and_grad(self, params: np.ndarray, h: float) -> tuple[float, np.ndarray]:
+        """Value and forward-difference gradient, one U3 angle moved at a time.
+
+        The trace with one gate replaced is ``sum_ab L[a,b] u[a,b]`` where L
+        is a partial trace of ``K = prefix . target^dag . suffix``; all U3
+        ops are handled together as stacks of K, L and perturbed gates.
+        """
         n, dim = self.n, self.dim
         mats = self._gate_mats(params)
         num_ops = len(self.ops)
@@ -249,18 +259,39 @@ class _TraceObjective:
         t0 = np.trace(self.adj_target @ pre[num_ops])
         v0 = 1.0 - abs(t0) / dim
         grad = np.zeros(self.template.num_params)
-        for g, (kind, qubits, off) in enumerate(self.ops):
-            if kind == "cx":
-                continue
-            K = pre[g] @ self.adj_target @ suf[g + 1]
-            L = self._l_matrix(K, qubits[0])
-            theta = params[off : off + 3]
-            for j in range(3):
-                pert = theta.copy()
-                pert[j] += h
-                tj = np.einsum("ab,ab->", L, u3_matrix(*pert))
-                grad[off + j] = ((1.0 - abs(tj) / dim) - v0) / h
+        K = (np.stack([pre[g] for g in self._u3_ops]) @ self.adj_target
+             @ np.stack([suf[g + 1] for g in self._u3_ops]))
+        # L[i, j] is U3 op i's L, once per angle, each 2x2 stored column-major
+        # as einsum returns a single L; the layout fixes the summation order
+        # of the traces below, so they match gate-at-a-time evaluation.
+        L = np.empty((len(self._u3_ops), 3, 2, 2), dtype=complex).swapaxes(2, 3)
+        for rows, spec in self._l_groups:
+            L[rows] = np.einsum(spec, K[rows].reshape((len(rows),) + (2,) * (2 * n)))[:, None]
+        # steps[i, j] is U3 op i's angles with angle j moved by h.
+        steps = np.repeat(params[self._u3_params][:, None, :], 3, axis=1)
+        diag = np.arange(3)
+        steps[:, diag, diag] += h
+        t = np.einsum("gjab,gjab->gj", L, _u3_matrices(steps))
+        # hypot is abs() of one complex value; np.abs on an array may round
+        # differently.
+        grad[self._u3_params] = ((1.0 - np.hypot(t.real, t.imag) / dim) - v0) / h
         return v0, grad
+
+
+def _u3_matrices(angles: np.ndarray) -> np.ndarray:
+    """``u3_matrix`` over a stack of (theta, phi, lambda) rows.
+
+    Shape ``(..., 3)`` to ``(..., 2, 2)``; element for element equal to
+    calling ``u3_matrix`` on each row.
+    """
+    theta, phi, lam = angles[..., 0], angles[..., 1], angles[..., 2]
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    out = np.empty(angles.shape[:-1] + (2, 2), dtype=complex)
+    out[..., 0, 0] = c
+    out[..., 0, 1] = -np.exp(1j * lam) * s
+    out[..., 1, 0] = np.exp(1j * phi) * s
+    out[..., 1, 1] = np.exp(1j * (phi + lam)) * c
+    return out
 
 
 def optimize_params(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -25,6 +25,8 @@ from .expand import ApproximationSet
 from .partition import PartitionGraph, pair_embedding, pair_unitary
 
 Solution = tuple  # choice vector: candidate index per block
+
+TERM_MEMO_SIZE = 1 << 13  # memo entries kept by ObjectiveTables (about 1.5 MB)
 
 
 class Mode(Enum):
@@ -95,11 +97,30 @@ class ObjectiveTables:
     distance of the cascaded pair unitary for edge e under choices
     (ci, cj) to the original pair, and ``incident[b]`` lists the
     ``(edge, weight)`` pairs touching block b.
+
+    ``solution_terms`` is the one mutable part: a memo of the terms that
+    depend on one solution alone (its errors, CNOT ratio and mean fidelity
+    score) or on a pair of solutions (whether they count as different),
+    keyed by ``(term, solution or pair)``.  The annealer revisits the same
+    few solutions many times; the memo returns the value computed on the
+    first visit, so objective values do not change.
     """
 
     pair_distances: tuple[list[list[float]], ...]
     edge_distances: dict[tuple[int, int], list[list[float]]] | None = None
     incident: tuple[tuple[tuple[tuple[int, int], int], ...], ...] | None = None
+    solution_terms: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def term(self, name: str, sol, compute: Callable[[], float]) -> float:
+        """Memoized ``compute()`` for one solution or pair; the memo is
+        emptied when it reaches ``TERM_MEMO_SIZE`` entries."""
+        key = (name, sol)
+        value = self.solution_terms.get(key)
+        if value is None:
+            if len(self.solution_terms) >= TERM_MEMO_SIZE:
+                self.solution_terms.clear()
+            value = self.solution_terms[key] = compute()
+        return value
 
     @classmethod
     def build(cls, approx: ApproximationSet,
@@ -172,14 +193,23 @@ def differentiation(
         return 0.0
     if tables is None:
         tables = ObjectiveTables.build(approx)
-    pair = tables.pair_distances
-    e_sol = circuit_error_basic(sol, approx)
+    sol = tuple(sol)
     t = 0
     for s in others:
-        d = sum(pair[b][sol[b]][s[b]] for b in range(len(sol)))
-        if d <= max(e_sol, circuit_error_basic(s, approx)):
-            t += 1
+        s = tuple(s)
+        t += tables.term("close", (sol, s), lambda: _too_close(sol, s, approx, tables))
     return t / len(others)
+
+
+def _too_close(sol: Solution, other: Solution, approx: ApproximationSet,
+               tables: ObjectiveTables) -> int:
+    """1 if the two solutions are no farther apart than the larger of their
+    approximation errors, else 0."""
+    pair = tables.pair_distances
+    d = sum(pair[b][sol[b]][other[b]] for b in range(len(sol)))
+    e_sol = tables.term("basic", sol, lambda: circuit_error_basic(sol, approx))
+    e_other = tables.term("basic", other, lambda: circuit_error_basic(other, approx))
+    return int(d <= max(e_sol, e_other))
 
 
 def reassemble(sol: Solution, approx: ApproximationSet) -> Circuit:
@@ -190,6 +220,20 @@ def reassemble(sol: Solution, approx: ApproximationSet) -> Circuit:
         [b.qubits for b in approx.blocks],
         approx.num_qubits,
     )
+
+
+def _mean_fidelity_score(sol: Solution, approx: ApproximationSet) -> float:
+    scores = [approx.candidates[b][c].fidelity_score for b, c in enumerate(sol)]
+    if any(s is None for s in scores):
+        raise ValueError("fidelity scores not cached; run score_candidates first")
+    return float(np.mean(scores))
+
+
+def _cnot_ratio(sol: Solution, approx: ApproximationSet) -> float:
+    orig = approx.original_cnots()
+    if not orig:
+        return 0.0
+    return sum(approx.candidates[b][c].cnots for b, c in enumerate(sol)) / orig
 
 
 def objective(
@@ -211,25 +255,18 @@ def objective(
         tables = ObjectiveTables.build(approx, graph if cfg.mode is Mode.CASCADE else None)
     if cfg.mode is not Mode.BASIC_ERR:
         if cfg.mode is Mode.CASCADE:
-            err = circuit_error_cascade(sol, approx, graph, tables)
+            err = tables.term("cascade", sol,
+                              lambda: circuit_error_cascade(sol, approx, graph, tables))
         else:
-            err = circuit_error_basic(sol, approx)
+            err = tables.term("basic", sol, lambda: circuit_error_basic(sol, approx))
         if err > cfg.epsilon:
             if cfg.mode is Mode.QUEST:
                 return QUEST_THRESHOLD_PENALTY
             return err - cfg.epsilon + GRADIENT_PENALTY_BASE
     if cfg.mode is Mode.BASIC_ERR:
-        scores = [approx.candidates[b][c].fidelity_score for b, c in enumerate(sol)]
-        if any(s is None for s in scores):
-            raise ValueError("fidelity scores not cached; run score_candidates first")
-        g = float(np.mean(scores))
+        g = tables.term("fidelity", sol, lambda: _mean_fidelity_score(sol, approx))
     else:
-        orig = approx.original_cnots()
-        g = (
-            sum(approx.candidates[b][c].cnots for b, c in enumerate(sol)) / orig
-            if orig
-            else 0.0
-        )
+        g = tables.term("cnots", sol, lambda: _cnot_ratio(sol, approx))
     t = differentiation(sol, others, approx, tables)
     return cfg.w * g + (1.0 - cfg.w) * t
 
@@ -269,31 +306,67 @@ class _Visitor:
             / math.sin(math.pi * (1.0 - factor5))
             / math.exp(math.lgamma(d1))
         )
+        self._sigma_temperature = math.nan
+        self._sigma_value = math.nan
+
+    def _sigma(self, temperature: float) -> float:
+        """Scale of the visiting distribution; every visit of one timestep
+        shares the temperature, so the last value is kept."""
+        if temperature != self._sigma_temperature:
+            qv = self.q_v
+            factor1 = math.exp(math.log(temperature) / (qv - 1.0))
+            factor4 = (
+                math.sqrt(math.pi) * factor1 * self._factor2
+                / (self._factor3 * (3.0 - qv))
+            )
+            self._sigma_value = math.exp(
+                -(qv - 1.0) * math.log(self._factor6 / factor4) / (3.0 - qv)
+            )
+            self._sigma_temperature = temperature
+        return self._sigma_value
 
     def _deviate(self, rng, temperature: float, size: int) -> np.ndarray:
         qv = self.q_v
-        factor1 = math.exp(math.log(temperature) / (qv - 1.0))
-        factor4 = (
-            math.sqrt(math.pi) * factor1 * self._factor2
-            / (self._factor3 * (3.0 - qv))
-        )
-        sigma = math.exp(-(qv - 1.0) * math.log(self._factor6 / factor4) / (3.0 - qv))
-        x = rng.normal(size=size) * sigma
-        y = rng.normal(size=size)
+        # One draw of 2 * size values is the same stream as two draws of
+        # size each: x's normals then y's, the high tails' uniforms then
+        # the low tails'.
+        normals = rng.normal(size=2 * size)
+        x = normals[:size] * self._sigma(temperature)
+        y = normals[size:]
         den = np.exp((qv - 1.0) * np.log(np.abs(y)) / (3.0 - qv))
         visit = x / den
-        visit = np.where(visit > _TAIL_LIMIT, _TAIL_LIMIT * rng.uniform(size=size), visit)
-        visit = np.where(visit < -_TAIL_LIMIT, -_TAIL_LIMIT * rng.uniform(size=size), visit)
+        tails = rng.uniform(size=2 * size)
+        values = visit.tolist()
+        if any(v > _TAIL_LIMIT for v in values):
+            visit = np.where(visit > _TAIL_LIMIT, _TAIL_LIMIT * tails[:size], visit)
+        if any(v < -_TAIL_LIMIT for v in values):
+            visit = np.where(visit < -_TAIL_LIMIT, -_TAIL_LIMIT * tails[size:], visit)
+        return visit
+
+    def _deviate_one(self, rng, temperature: float) -> float:
+        """``_deviate(rng, temperature, 1)[0]`` with numpy scalars in place
+        of one-element arrays: the same draws and the same value, since
+        numpy's log and exp of a scalar run the array loop and the rest is
+        correctly rounded arithmetic."""
+        qv = self.q_v
+        x, y = rng.normal(size=2)
+        visit = x * self._sigma(temperature) / np.exp(
+            (qv - 1.0) * np.log(abs(y)) / (3.0 - qv))
+        high, low = rng.uniform(size=2)
+        if visit > _TAIL_LIMIT:
+            visit = _TAIL_LIMIT * high
+        if visit < -_TAIL_LIMIT:
+            visit = -_TAIL_LIMIT * low
         return visit
 
     def visit(self, x: np.ndarray, temperature: float, rng,
               dim: int | None = None) -> np.ndarray:
         """Propose a new point; full-vector step or single-coordinate step."""
-        x_new = x.copy()
         if dim is None:
             x_new = x + self._deviate(rng, temperature, len(x))
         else:
-            x_new[dim] = x[dim] + self._deviate(rng, temperature, 1)[0]
+            x_new = x.copy()
+            x_new[dim] = x[dim] + self._deviate_one(rng, temperature)
         # Wrap back into [lower, upper) to keep the walk inside bounds.
         x_new = np.mod(x_new - self.lower, self.span) + self.lower
         return x_new
@@ -317,7 +390,7 @@ def _accept(e_new: float, e_cur: float, temperature_step: float, q_a: float,
 def decode(x: np.ndarray, bounds: Sequence[int]) -> Solution:
     """Continuous vector -> choice indices by floor, clamped into range."""
     return tuple(
-        min(int(math.floor(v)), a - 1) for v, a in zip(x, bounds)
+        min(int(math.floor(v)), a - 1) for v, a in zip(np.asarray(x).tolist(), bounds)
     )
 
 

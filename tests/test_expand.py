@@ -2,7 +2,16 @@
 import numpy as np
 import pytest
 
-from peepopt.circuits import Circuit, GateKind, cnot_count, cx, hs_distance, rx, unitary_of
+from peepopt.circuits import (
+    Circuit,
+    GateKind,
+    cnot_count,
+    cx,
+    hs_distance,
+    rx,
+    u3_matrix,
+    unitary_of,
+)
 from peepopt.expand import (
     ApproximationSet,
     OptBudget,
@@ -12,7 +21,7 @@ from peepopt.expand import (
     optimize_params,
     score_candidates,
 )
-from peepopt.expand import _TraceObjective
+from peepopt.expand import _TraceObjective, _u3_matrices
 from peepopt.noise import NoiseModel
 from peepopt.partition import scan_partition
 
@@ -79,6 +88,33 @@ class TestTraceObjectiveGradient:
             pert[j] += h
             naive = (obj.value(pert) - obj.value(params)) / h
             assert grad[j] == pytest.approx(naive, abs=1e-6)
+
+    @pytest.mark.parametrize("m,q", [(3, 3), (5, 4), (0, 1)])
+    def test_stacked_gradient_matches_naive_on_wider_templates(self, m, q):
+        # U3 ops on every qubit, gathered per qubit into one partial trace.
+        t = ansatz(m, q)
+        rng = np.random.default_rng(m + 10 * q)
+        dim = 1 << q
+        target, _ = np.linalg.qr(rng.normal(size=(dim, dim))
+                                 + 1j * rng.normal(size=(dim, dim)))
+        obj = _TraceObjective(t, target)
+        params = rng.uniform(-np.pi, np.pi, t.num_params)
+        h = 1e-6
+        value, grad = obj.value_and_grad(params, h)
+        assert value == obj.value(params)
+        for j in range(t.num_params):
+            pert = params.copy()
+            pert[j] += h
+            naive = (obj.value(pert) - value) / h
+            assert grad[j] == pytest.approx(naive, abs=1e-6)
+
+    def test_stacked_u3_matrices_equal_u3_matrix(self):
+        rng = np.random.default_rng(12)
+        angles = rng.uniform(-4 * np.pi, 4 * np.pi, (5, 3, 3))
+        stacked = _u3_matrices(angles)
+        assert stacked.shape == (5, 3, 2, 2)
+        for idx in np.ndindex(5, 3):
+            assert np.array_equal(stacked[idx], u3_matrix(*angles[idx]))
 
 
 class TestOptimizeParams:

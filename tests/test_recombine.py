@@ -25,6 +25,7 @@ from peepopt.recombine import (
     recombine_iterative,
     recombine_population,
 )
+from peepopt.recombine import _Visitor
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -229,6 +230,18 @@ class TestAnnealerPrimitives:
         f = lambda s: float(sum(s))
         cfg = AnnealerConfig(max_iterations=100, seed=9)
         assert dual_anneal(f, (4, 4), cfg) == dual_anneal(f, (4, 4), cfg)
+
+    def test_single_deviate_matches_array_deviate(self):
+        # Same value and same generator state after, tails included: at
+        # high temperature most raw deviates pass the tail limit.
+        visitor = _Visitor(2.62, np.zeros(3), np.array([2.0, 3.0, 4.0]))
+        temps = np.random.default_rng(5).uniform(-3.0, 4.0, 400)
+        for seed, log_t in enumerate(temps):
+            r_one, r_arr = np.random.default_rng(seed), np.random.default_rng(seed)
+            one = visitor._deviate_one(r_one, 10.0 ** log_t)
+            arr = visitor._deviate(r_arr, 10.0 ** log_t, 1)
+            assert one == arr[0]
+            assert r_one.uniform() == r_arr.uniform()
 
     def test_dual_anneal_call_count(self):
         # One member: no per-timestep re-score, so one initial evaluation

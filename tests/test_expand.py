@@ -5,6 +5,7 @@ import pytest
 from peepopt.circuits import (
     Circuit,
     GateKind,
+    apply_unitary,
     cnot_count,
     cx,
     hs_distance,
@@ -21,7 +22,7 @@ from peepopt.expand import (
     optimize_params,
     score_candidates,
 )
-from peepopt.expand import _TraceObjective, _u3_matrices
+from peepopt.expand import _CX, _TraceObjective, _u3_matrices
 from peepopt.noise import NoiseModel
 from peepopt.partition import scan_partition
 
@@ -107,6 +108,47 @@ class TestTraceObjectiveGradient:
             pert[j] += h
             naive = (obj.value(pert) - value) / h
             assert grad[j] == pytest.approx(naive, abs=1e-6)
+
+    @pytest.mark.parametrize("m,q", [(4, 3), (6, 4), (1, 2)])
+    def test_stacked_gradient_equals_gate_at_a_time_loop(self, m, q):
+        # Reference: the per-gate loop the stacks replace, with the same
+        # arithmetic, so the gradient must agree bit for bit.
+        t = ansatz(m, q)
+        rng = np.random.default_rng(m + 7 * q)
+        dim = 1 << q
+        target, _ = np.linalg.qr(rng.normal(size=(dim, dim))
+                                 + 1j * rng.normal(size=(dim, dim)))
+        obj = _TraceObjective(t, target)
+        params = rng.uniform(-np.pi, np.pi, t.num_params)
+        h = 1e-6
+        ops = t.ops()
+        mats = [_CX if kind == "cx" else u3_matrix(*params[off:off + 3])
+                for kind, _, off in ops]
+        pre = [np.eye(dim, dtype=complex)]
+        for (_, qubits, _), u in zip(ops, mats):
+            pre.append(apply_unitary(pre[-1], u, qubits, q))
+        suf = [np.eye(dim, dtype=complex)]
+        for (_, qubits, _), u in zip(reversed(ops), reversed(mats)):
+            suf.insert(0, apply_unitary(suf[0].T, u.T, qubits, q).T)
+        v0 = 1.0 - abs(np.trace(obj.adj_target @ pre[-1])) / dim
+        letters = "abcdefghijklmnopqrstuv"
+        expected = np.zeros(t.num_params)
+        for g, (kind, qubits, off) in enumerate(ops):
+            if kind == "cx":
+                continue
+            K = pre[g] @ obj.adj_target @ suf[g + 1]
+            row, col = list(letters[:q]), list(letters[:q])
+            row[q - 1 - qubits[0]], col[q - 1 - qubits[0]] = "y", "x"
+            L = np.einsum("".join(row) + "".join(col) + "->xy",
+                          K.reshape((2,) * (2 * q)))
+            for j in range(3):
+                pert = params[off:off + 3].copy()
+                pert[j] += h
+                tj = np.einsum("ab,ab->", L, u3_matrix(*pert))
+                expected[off + j] = ((1.0 - abs(tj) / dim) - v0) / h
+        value, grad = obj.value_and_grad(params, h)
+        assert value == v0
+        assert np.array_equal(grad, expected)
 
     def test_stacked_u3_matrices_equal_u3_matrix(self):
         rng = np.random.default_rng(12)

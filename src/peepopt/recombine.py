@@ -26,7 +26,7 @@ from .partition import PartitionGraph, pair_embedding, pair_unitary
 
 Solution = tuple  # choice vector: candidate index per block
 
-TERM_MEMO_SIZE = 1 << 13  # memo entries kept by ObjectiveTables (about 1.5 MB)
+TERM_MEMO_SIZE = 1 << 12  # memo entries kept by ObjectiveTables (under 1 MB)
 
 
 class Mode(Enum):

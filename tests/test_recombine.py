@@ -1,4 +1,6 @@
 """Unit tests for the objective, its error metrics, and the annealers."""
+import importlib
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,8 @@ from peepopt.recombine import (
     recombine_population,
 )
 from peepopt.recombine import _Visitor
+
+recombine_module = importlib.import_module("peepopt.recombine")
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -124,6 +128,30 @@ class TestObjectiveTables:
                     others = [draw() for _ in range(int(rng.integers(4)))]
                     assert f(sol, others) == objective(
                         sol, others, approx, graph, cfg), (mode, sol, others)
+
+
+    def test_objective_unchanged_when_term_memo_overflows(self, monkeypatch):
+        # A memo of three entries is emptied over and over within one call.
+        monkeypatch.setattr(recombine_module, "TERM_MEMO_SIZE", 3)
+        circ = Circuit(3, (cx(0, 1), rx(0.3, 0), cx(1, 0), cx(1, 2), rz(0.5, 2),
+                           cx(2, 1), cx(0, 2)))
+        blocks = scan_partition(circ, 2)
+        graph = build_partition_graph(blocks)
+        approx = expand_all(blocks, 3, 1.0, 0, OptBudget(restarts=2, max_iters=40))
+        from peepopt.expand import score_candidates
+        from peepopt.noise import NoiseModel
+        score_candidates(approx, NoiseModel(p1=0.001, p2=0.01))
+        rng = np.random.default_rng(6)
+
+        def draw():
+            return tuple(int(rng.integers(a)) for a in approx.counts())
+
+        for mode in Mode:
+            cfg = ObjectiveConfig(epsilon=1.0, mode=mode)
+            f = make_objective(approx, graph, cfg)
+            for _ in range(20):
+                sol, others = draw(), [draw() for _ in range(5)]
+                assert f(sol, others) == objective(sol, others, approx, graph, cfg)
 
 
 class TestDifferentiation:

@@ -202,8 +202,7 @@ class _TraceObjective:
         # parameter indices (theta, phi, lambda) of the i-th U3 op.
         self._u3_ops = [g for g, (kind, _, _) in enumerate(self.ops) if kind == "u3"]
         self._u3_params = np.array(
-            [[self.ops[g][2] + j for j in range(3)] for g in self._u3_ops], dtype=np.intp
-        ).reshape(-1, 3)
+            [[off, off + 1, off + 2] for kind, _, off in self.ops if kind == "u3"])
         # U3 ops grouped by qubit, each group with the einsum spec extracting,
         # for a gate on that qubit, the 2x2 matrices L with
         # tr(K . embed(u)) = sum_ab L[a,b] u[a,b].
@@ -259,6 +258,7 @@ class _TraceObjective:
         t0 = np.trace(self.adj_target @ pre[num_ops])
         v0 = 1.0 - abs(t0) / dim
         grad = np.zeros(self.template.num_params)
+        # A stacked matmul runs each item's product as the 2-D one would.
         K = (np.stack([pre[g] for g in self._u3_ops]) @ self.adj_target
              @ np.stack([suf[g + 1] for g in self._u3_ops]))
         # L[i, j] is U3 op i's L, once per angle, each 2x2 stored column-major

@@ -90,7 +90,7 @@ def pair_unitary_table(
 @dataclass(frozen=True)
 class ObjectiveTables:
     """Distances the objective reads, computed once per objective and never
-    written afterwards.
+    written afterwards, plus a memo of per-solution terms.
 
     ``pair_distances[b][i][j]`` is the HS distance between candidates i and
     j of block b.  In cascade mode ``edge_distances[e][ci][cj]`` is the HS

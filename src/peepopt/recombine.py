@@ -3,20 +3,24 @@
 A solution assigns one candidate index to every partition block.  Solutions
 are scored by a three-part objective (approximation error, complexity or
 noisy-fidelity reduction, differentiation from already-selected circuits)
-that reads distance tables built once per objective.  One generalized
-simulated-annealing loop explores the choice space: the population engine
-runs it with all c result circuits as members, updated together in each
-timestep; the iterative engine runs it once per result circuit with a
-single member.
+that reads distance tables built once per objective.  The objective that
+``make_objective`` returns also keeps its values for the current set of
+already-selected solutions, so a solution the annealer revisits is scored
+once while that set stays the same.  One generalized simulated-annealing
+loop explores the choice space: the population engine runs it with all c
+result circuits as members, updated together in each timestep; the
+iterative engine runs it once per result circuit with a single member.
 """
 from __future__ import annotations
 
 import hashlib
 import itertools
 import math
+import operator
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -26,7 +30,7 @@ from .partition import PartitionGraph, pair_embedding, pair_unitary
 
 Solution = tuple  # choice vector: candidate index per block
 
-TERM_MEMO_SIZE = 1 << 12  # memo entries kept by ObjectiveTables (under 1 MB)
+TERM_MEMO_SIZE = 1 << 12  # entries kept by each memo of the objective (under 1 MB)
 
 
 class Mode(Enum):
@@ -98,28 +102,29 @@ class ObjectiveTables:
     (ci, cj) to the original pair, and ``incident[b]`` lists the
     ``(edge, weight)`` pairs touching block b.
 
-    ``solution_terms`` is the one mutable part: a memo of the terms that
-    depend on one solution alone (its errors, CNOT ratio and mean fidelity
-    score) or on a pair of solutions (whether they count as different),
-    keyed by ``(term, solution or pair)``.  The annealer revisits the same
-    few solutions many times; the memo returns the value computed on the
-    first visit, so objective values do not change.
+    ``solution_terms`` is the one mutable part: one memo per term that
+    depends on a single solution (its basic or cascade error, CNOT ratio
+    and mean fidelity score), keyed by the solution.  The annealer revisits
+    the same few solutions many times, also after the already-selected
+    solutions change; the memo returns the value computed on the first
+    visit, so objective values do not change.
     """
 
     pair_distances: tuple[list[list[float]], ...]
     edge_distances: dict[tuple[int, int], list[list[float]]] | None = None
     incident: tuple[tuple[tuple[tuple[int, int], int], ...], ...] | None = None
-    solution_terms: dict = field(default_factory=dict, compare=False, repr=False)
+    solution_terms: defaultdict = field(default_factory=lambda: defaultdict(dict),
+                                        compare=False, repr=False)
 
-    def term(self, name: str, sol, compute: Callable[[], float]) -> float:
-        """Memoized ``compute()`` for one solution or pair; the memo is
-        emptied when it reaches ``TERM_MEMO_SIZE`` entries."""
-        key = (name, sol)
-        value = self.solution_terms.get(key)
+    def term(self, name: str, sol: Solution, compute: Callable[[], float]) -> float:
+        """Memoized ``compute()`` of term ``name`` for one solution; each
+        term's memo is emptied when it reaches ``TERM_MEMO_SIZE`` entries."""
+        memo = self.solution_terms[name]
+        value = memo.get(sol)
         if value is None:
-            if len(self.solution_terms) >= TERM_MEMO_SIZE:
-                self.solution_terms.clear()
-            value = self.solution_terms[key] = compute()
+            if len(memo) >= TERM_MEMO_SIZE:
+                memo.clear()
+            value = memo[sol] = compute()
         return value
 
     @classmethod
@@ -162,9 +167,12 @@ def circuit_error_cascade(
     tables: ObjectiveTables | None = None,
 ) -> float:
     """Per-block weighted average of incident pair distances, summed over
-    blocks; isolated blocks fall back to their own HS distance."""
+    blocks; isolated blocks fall back to their own HS distance.  Tables
+    passed in must have been built with a partition graph."""
     if tables is None:
         tables = ObjectiveTables.build(approx, graph)
+    if tables.incident is None:
+        raise ValueError("cascade error needs ObjectiveTables built with a partition graph")
     total = 0.0
     for b, incident in enumerate(tables.incident):
         if not incident:
@@ -187,29 +195,25 @@ def differentiation(
     tables: ObjectiveTables | None = None,
 ) -> float:
     """Fraction of existing solutions that the candidate fails to differ
-    from: the distance to each is compared against both approximation
-    errors.  Empty existing set scores 0."""
+    from: one counts when its distance to the candidate, the sum of the
+    per-block candidate distances, is no more than the larger of the two
+    approximation errors.  Empty existing set scores 0."""
     if not others:
         return 0.0
     if tables is None:
         tables = ObjectiveTables.build(approx)
     sol = tuple(sol)
-    t = 0
+    # Row of each block's distance table for the candidate's choice; the
+    # distance sums in block order, so verdicts at equality do not move.
+    rows = [table[c] for table, c in zip(tables.pair_distances, sol)]
+    e_sol = tables.term("basic", sol, lambda: circuit_error_basic(sol, approx))
+    close = 0
     for s in others:
         s = tuple(s)
-        t += tables.term("close", (sol, s), lambda: _too_close(sol, s, approx, tables))
-    return t / len(others)
-
-
-def _too_close(sol: Solution, other: Solution, approx: ApproximationSet,
-               tables: ObjectiveTables) -> int:
-    """1 if the two solutions are no farther apart than the larger of their
-    approximation errors, else 0."""
-    pair = tables.pair_distances
-    d = sum(pair[b][sol[b]][other[b]] for b in range(len(sol)))
-    e_sol = tables.term("basic", sol, lambda: circuit_error_basic(sol, approx))
-    e_other = tables.term("basic", other, lambda: circuit_error_basic(other, approx))
-    return int(d <= max(e_sol, e_other))
+        d = sum(map(operator.getitem, rows, s))
+        close += d <= e_sol or d <= tables.term(
+            "basic", s, lambda: circuit_error_basic(s, approx))
+    return close / len(others)
 
 
 def reassemble(sol: Solution, approx: ApproximationSet) -> Circuit:
@@ -276,10 +280,30 @@ def make_objective(
     graph: PartitionGraph | None,
     cfg: ObjectiveConfig,
 ) -> Callable[[Solution, Sequence[Solution]], float]:
-    """Build the distance tables once and return f(solution, others) -> value."""
+    """Build the distance tables once and return f(solution, others) -> value.
+
+    f keeps the values it computed for the current ``others``, compared by
+    value on every call, so ``others`` may be a list its caller appends to.
+    The kept values are dropped when ``others`` changes and when they reach
+    ``TERM_MEMO_SIZE`` entries.
+    """
     tables = ObjectiveTables.build(approx, graph if cfg.mode is Mode.CASCADE else None)
+    values: dict[Solution, float] = {}
+    values_for: tuple = ()  # the others that ``values`` were computed with
+
     def f(sol, others):
-        return objective(sol, others, approx, graph, cfg, tables)
+        nonlocal values_for
+        sol = tuple(sol)
+        current = tuple([*map(tuple, others)])  # from a list: see decode
+        if current != values_for:
+            values.clear()
+            values_for = current
+        value = values.get(sol)
+        if value is None:
+            if len(values) >= TERM_MEMO_SIZE:
+                values.clear()
+            value = values[sol] = objective(sol, current, approx, graph, cfg, tables)
+        return value
     return f
 
 
@@ -291,11 +315,8 @@ _TAIL_LIMIT = 1e8
 class _Visitor:
     """Tsallis visiting-distribution step generator (distorted Cauchy-Lorentz)."""
 
-    def __init__(self, q_v: float, lower: np.ndarray, upper: np.ndarray):
+    def __init__(self, q_v: float):
         self.q_v = q_v
-        self.lower = lower
-        self.upper = upper
-        self.span = upper - lower
         qv = q_v
         self._factor2 = math.exp((4.0 - qv) * math.log(qv - 1.0))
         self._factor3 = math.exp((2.0 - qv) * math.log(2.0) / (qv - 1.0))
@@ -325,51 +346,41 @@ class _Visitor:
             self._sigma_temperature = temperature
         return self._sigma_value
 
-    def _deviate(self, rng, temperature: float, size: int) -> np.ndarray:
+    def _deviate(self, rng, temperature: float, size: int) -> list[float]:
+        """``size`` steps.  ``log`` and ``exp`` stay numpy's: ``math``'s
+        round differently on some inputs, which would move the walk."""
         qv = self.q_v
         # One draw of 2 * size values is the same stream as two draws of
         # size each: x's normals then y's, the high tails' uniforms then
         # the low tails'.
-        normals = rng.normal(size=2 * size)
+        normals = rng.standard_normal(2 * size)
         x = normals[:size] * self._sigma(temperature)
-        y = normals[size:]
-        den = np.exp((qv - 1.0) * np.log(np.abs(y)) / (3.0 - qv))
-        visit = x / den
-        tails = rng.uniform(size=2 * size)
-        values = visit.tolist()
-        if any(v > _TAIL_LIMIT for v in values):
-            visit = np.where(visit > _TAIL_LIMIT, _TAIL_LIMIT * tails[:size], visit)
-        if any(v < -_TAIL_LIMIT for v in values):
-            visit = np.where(visit < -_TAIL_LIMIT, -_TAIL_LIMIT * tails[size:], visit)
+        den = np.exp((qv - 1.0) * np.log(np.abs(normals[size:])) / (3.0 - qv))
+        visit = (x / den).tolist()
+        tails = rng.random(2 * size)
+        if max(visit) > _TAIL_LIMIT or min(visit) < -_TAIL_LIMIT:
+            for i, v in enumerate(visit):
+                if v > _TAIL_LIMIT:
+                    visit[i] = _TAIL_LIMIT * float(tails[i])
+                elif v < -_TAIL_LIMIT:
+                    visit[i] = -_TAIL_LIMIT * float(tails[size + i])
         return visit
 
     def _deviate_one(self, rng, temperature: float) -> float:
-        """``_deviate(rng, temperature, 1)[0]`` with numpy scalars in place
-        of one-element arrays: the same draws and the same value, since
-        numpy's log and exp of a scalar run the array loop and the rest is
-        correctly rounded arithmetic."""
+        """``_deviate(rng, temperature, 1)[0]`` without one-element arrays:
+        the same draws and the same value, since numpy's log and exp of a
+        scalar run the array loop and the rest is correctly rounded
+        arithmetic."""
         qv = self.q_v
-        x, y = rng.normal(size=2)
-        visit = x * self._sigma(temperature) / np.exp(
-            (qv - 1.0) * np.log(abs(y)) / (3.0 - qv))
-        high, low = rng.uniform(size=2)
+        x, y = rng.standard_normal(2).tolist()
+        den = float(np.exp((qv - 1.0) * float(np.log(abs(y))) / (3.0 - qv)))
+        visit = x * self._sigma(temperature) / den
+        high, low = rng.random(2).tolist()
         if visit > _TAIL_LIMIT:
             visit = _TAIL_LIMIT * high
         if visit < -_TAIL_LIMIT:
             visit = -_TAIL_LIMIT * low
         return visit
-
-    def visit(self, x: np.ndarray, temperature: float, rng,
-              dim: int | None = None) -> np.ndarray:
-        """Propose a new point; full-vector step or single-coordinate step."""
-        if dim is None:
-            x_new = x + self._deviate(rng, temperature, len(x))
-        else:
-            x_new = x.copy()
-            x_new[dim] = x[dim] + self._deviate_one(rng, temperature)
-        # Wrap back into [lower, upper) to keep the walk inside bounds.
-        x_new = np.mod(x_new - self.lower, self.span) + self.lower
-        return x_new
 
 
 def _temperature(t0: float, step: int, q_v: float) -> float:
@@ -384,14 +395,42 @@ def _accept(e_new: float, e_cur: float, temperature_step: float, q_a: float,
     pqa = 1.0 - (1.0 - q_a) * (e_new - e_cur) / temperature_step
     if pqa <= 0.0:
         return False
-    return rng.uniform() <= math.exp(math.log(pqa) / (1.0 - q_a))
+    return rng.random() <= math.exp(math.log(pqa) / (1.0 - q_a))
 
 
-def decode(x: np.ndarray, bounds: Sequence[int]) -> Solution:
+def decode(x: Sequence[float], bounds: Sequence[int]) -> Solution:
     """Continuous vector -> choice indices by floor, clamped into range."""
-    return tuple(
-        min(int(math.floor(v)), a - 1) for v, a in zip(np.asarray(x).tolist(), bounds)
-    )
+    # Built from a list: tuple() of an iterator allocates ten slots and
+    # shrinks them, and over many calls the shrunk tuples fill CPython's
+    # per-size free lists (about 0.5 MB in a recombine run).
+    sol = tuple([*map(math.floor, x)])
+    if any(map(operator.ge, sol, bounds)):
+        return tuple(min(c, a - 1) for c, a in zip(sol, bounds))
+    return sol
+
+
+def _wrap(x: Iterable[float], span: list[float]) -> list[float]:
+    """Each coordinate modulo its span, as ``np.mod``: Python's float ``%``
+    rounds the same way for a positive span, turns -0.0 into 0.0 and, like
+    ``np.mod``, takes a tiny negative value up to exactly the span."""
+    return [v % s for v, s in zip(x, span)]
+
+
+def _splice(x: list[float], sol: Solution, k: int, step: float,
+            span: list[float], bounds: Sequence[int]) -> tuple[list[float], Solution]:
+    """Point and solution after moving coordinate k of ``x`` by ``step``:
+    the same as wrapping the whole moved point and decoding it, without
+    decoding the p - 1 coordinates that did not move."""
+    v = (x[k] + step) % span[k]
+    if any(map(operator.eq, x, span)):
+        # A coordinate that wrapped up to exactly its span decodes to
+        # a - 1, but wrapping it again sends it to 0.
+        x_new = _wrap(x, span)
+        x_new[k] = v
+        return x_new, decode(x_new, bounds)
+    x_new = x.copy()
+    x_new[k] = v
+    return x_new, sol[:k] + (min(math.floor(v), bounds[k] - 1),) + sol[k + 1 :]
 
 
 def _box(bounds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -401,12 +440,17 @@ def _box(bounds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros(len(bounds)), np.array(bounds, dtype=float)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Member:
-    x: np.ndarray
-    rng: np.random.Generator
+    """One annealing walk: its point, the point's solution and value, and
+    the best point seen with its solution and value."""
+
+    x: list[float]
+    sol: Solution
     e_cur: float
-    best_x: np.ndarray
+    rng: np.random.Generator
+    best_x: list[float]
+    best_sol: Solution
     best_e: float
 
 
@@ -420,50 +464,56 @@ def _anneal(
     point, each visiting with its own generator.
 
     Every timestep updates all members; each evaluation receives the other
-    members' current decoded solutions (never its own).  Reannealing
-    restarts every member from its saved best.  Returns the per-member best
-    solutions in member order.
+    members' current decoded solutions (never its own).  A visit moves all
+    p coordinates or, in the second half of a member's 2p visits, one.
+    Reannealing restarts every member from its saved best.  Returns the
+    per-member best solutions in member order.
     """
-    lower, upper = _box(bounds)
+    span = [float(a) for a in bounds]
     p = len(bounds)
     max_iterations = cfg.max_iterations or 1000 * p
-    visitor = _Visitor(cfg.q_v, lower, upper)
+    visitor = _Visitor(cfg.q_v)
 
     members: list[_Member] = []
     snapshot = [decode(x0, bounds) for x0, _ in starts]
     for idx, (x0, rng) in enumerate(starts):
         e0 = f(snapshot[idx], snapshot[:idx] + snapshot[idx + 1 :])
-        members.append(_Member(x0.copy(), rng, e0, x0.copy(), e0))
+        x = x0.tolist()
+        members.append(_Member(x, snapshot[idx], e0, rng, x, snapshot[idx], e0))
 
     since_restart = 0
     for it in range(max_iterations):
         temperature = _temperature(cfg.initial_temperature, since_restart, cfg.q_v)
         if temperature < cfg.initial_temperature * cfg.restart_temp_ratio:
             for m in members:
-                m.x = m.best_x.copy()
-                m.e_cur = m.best_e
+                m.x, m.sol, m.e_cur = m.best_x, m.best_sol, m.best_e
             since_restart = 0
             temperature = _temperature(cfg.initial_temperature, 0, cfg.q_v)
         t_step = temperature / float(it + 1)
-        snapshot = [decode(m.x, bounds) for m in members]
+        snapshot = [m.sol for m in members]
         for idx, m in enumerate(members):
             others = snapshot[:idx] + snapshot[idx + 1 :]
             if len(members) > 1:
                 # Re-score the current point: the landscape moves with the
                 # others.  A lone member's others never change.
-                m.e_cur = f(snapshot[idx], others)
+                m.e_cur = f(m.sol, others)
                 if m.e_cur < m.best_e:
-                    m.best_x, m.best_e = m.x.copy(), m.e_cur
+                    m.best_x, m.best_sol, m.best_e = m.x, m.sol, m.e_cur
             for j in range(2 * p):
-                dim = None if j < p else j - p
-                x_visit = visitor.visit(m.x, temperature, m.rng, dim)
-                e_new = f(decode(x_visit, bounds), others)
+                if j < p:
+                    step = visitor._deviate(m.rng, temperature, p)
+                    x = _wrap(map(operator.add, m.x, step), span)
+                    sol = decode(x, bounds)
+                else:
+                    step = visitor._deviate_one(m.rng, temperature)
+                    x, sol = _splice(m.x, m.sol, j - p, step, span, bounds)
+                e_new = f(sol, others)
                 if e_new < m.best_e:
-                    m.best_x, m.best_e = x_visit.copy(), e_new
+                    m.best_x, m.best_sol, m.best_e = x, sol, e_new
                 if _accept(e_new, m.e_cur, t_step, cfg.q_a, m.rng):
-                    m.x, m.e_cur = x_visit, e_new
+                    m.x, m.sol, m.e_cur = x, sol, e_new
         since_restart += 1
-    return [(decode(m.best_x, bounds), m.best_e) for m in members]
+    return [(m.best_sol, m.best_e) for m in members]
 
 
 def dual_anneal(
@@ -499,7 +549,8 @@ def population_anneal(
     initial: list[np.ndarray] | None = None,
 ) -> list[tuple[Solution, float]]:
     """Anneal c solutions simultaneously in the shared loop; each member's
-    generator is seeded from its initial point."""
+    generator is seeded from its initial point.  Every coordinate b of an
+    ``initial`` point must lie in [0, bounds[b])."""
     if c < 1:
         raise ValueError(f"population size must be positive, got {c}")
     lower, upper = _box(bounds)
@@ -509,8 +560,15 @@ def population_anneal(
     if len(initial) != c:
         raise ValueError(f"initial population has {len(initial)} members, expected {c}")
     starts = []
-    for x0 in initial:
+    for i, x0 in enumerate(initial):
         x0 = np.asarray(x0, dtype=float)
+        if x0.shape != (len(bounds),):
+            raise ValueError(f"initial member {i} has shape {x0.shape}, "
+                             f"expected ({len(bounds)},)")
+        for b, (v, a) in enumerate(zip(x0.tolist(), bounds)):
+            if not 0.0 <= v < a:
+                raise ValueError(f"initial member {i} has {v} for block {b}, "
+                                 f"outside [0, {a})")
         starts.append((x0, _member_rng(cfg.seed, x0)))
     return _anneal(f, bounds, cfg, starts)
 

@@ -1,5 +1,7 @@
 """Unit tests for the objective, its error metrics, and the annealers."""
 import importlib
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -27,7 +29,13 @@ from peepopt.recombine import (
     recombine_iterative,
     recombine_population,
 )
-from peepopt.recombine import _Visitor
+from peepopt.recombine import (
+    ObjectiveTables,
+    _member_rng,
+    _splice,
+    _Visitor,
+    _wrap,
+)
 
 recombine_module = importlib.import_module("peepopt.recombine")
 
@@ -99,6 +107,16 @@ class TestErrorMetrics:
         d = hs_distance(orig_pair, new_pair)
         assert got == pytest.approx(2 * d, abs=1e-12)  # both blocks score d
 
+    def test_cascade_rejects_tables_built_without_graph(self):
+        approx = synthetic_set([
+            [(0.0, 1, None, np.eye(2)), (0.1, 0, None, np.eye(2))],
+            [(0.0, 1, None, np.eye(2))],
+        ])
+        graph = PartitionGraph(num_blocks=2, edges={(0, 1): 1})
+        tables = ObjectiveTables.build(approx)
+        with pytest.raises(ValueError, match="partition graph"):
+            circuit_error_cascade((1, 0), approx, graph, tables)
+
 
 class TestObjectiveTables:
     def test_bound_objective_matches_unbound_in_every_mode(self):
@@ -152,6 +170,37 @@ class TestObjectiveTables:
             for _ in range(20):
                 sol, others = draw(), [draw() for _ in range(5)]
                 assert f(sol, others) == objective(sol, others, approx, graph, cfg)
+            # Fixed others: f's own memo of values fills and empties too.
+            others = [draw() for _ in range(3)]
+            for _ in range(40):
+                sol = draw()
+                assert f(sol, others) == objective(sol, others, approx, graph, cfg)
+
+    def test_objective_memo_follows_others_changed_in_place(self, monkeypatch):
+        # recombine_iterative appends each result to the list it passes as
+        # others; a value kept for the shorter list must not come back.
+        approx = synthetic_set([
+            [(0.0, 2, None, np.eye(2)), (0.05, 1, None, X)],
+            [(0.0, 2, None, np.eye(2)), (0.02, 1, None, np.eye(2))],
+        ])
+        cfg = ObjectiveConfig(epsilon=1.0, mode=Mode.BASIC)
+        computed = []
+        unbound = recombine_module.objective
+        monkeypatch.setattr(recombine_module, "objective",
+                            lambda *a: computed.append(a[0]) or unbound(*a))
+        f = make_objective(approx, None, cfg)
+        results = []
+        first = f((1, 0), results)
+        assert f((1, 0), results) == first and computed == [(1, 0)]
+        results.append((1, 1))
+        assert f((1, 0), results) == unbound((1, 0), [(1, 1)], approx, None, cfg) != first
+        results.append((1, 0))
+        assert f((1, 0), results) == DUPLICATE_PENALTY
+        nested = [[0, 0]]
+        assert f((1, 0), nested) == unbound((1, 0), [(0, 0)], approx, None, cfg)
+        nested[0][0] = 1
+        assert f((1, 0), nested) == DUPLICATE_PENALTY
+        assert len(computed) == 5
 
 
 class TestDifferentiation:
@@ -262,7 +311,7 @@ class TestAnnealerPrimitives:
     def test_single_deviate_matches_array_deviate(self):
         # Same value and same generator state after, tails included: at
         # high temperature most raw deviates pass the tail limit.
-        visitor = _Visitor(2.62, np.zeros(3), np.array([2.0, 3.0, 4.0]))
+        visitor = _Visitor(2.62)
         temps = np.random.default_rng(5).uniform(-3.0, 4.0, 400)
         for seed, log_t in enumerate(temps):
             r_one, r_arr = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -283,6 +332,55 @@ class TestAnnealerPrimitives:
         out = population_anneal(lambda s, o: float(sum(s)), (1, 1),
                                 AnnealerConfig(max_iterations=20, seed=0), 3)
         assert [sol for sol, _ in out] == [(0, 0)] * 3
+
+    def test_population_rejects_initial_outside_box(self):
+        f = lambda s, o: 0.0
+        cfg = AnnealerConfig(max_iterations=5, seed=0)
+        for point, block in (([-0.5, 7.0], 0), ([0.5, 7.0], 1), ([0.5, 3.0], 1),
+                             ([np.nan, 1.0], 0)):
+            with pytest.raises(ValueError, match=f"member 1 .* block {block}"):
+                population_anneal(f, (3, 3), cfg, 2,
+                                  initial=[np.array([0.5, 0.5]), np.array(point)])
+        with pytest.raises(ValueError, match="member 0 has shape"):
+            population_anneal(f, (3, 3), cfg, 1, initial=[np.array([0.5])])
+
+    def test_wrap_matches_numpy_mod(self):
+        # A tiny negative wraps up to exactly the span, as np.mod does.
+        for span in (1.0, 3.0, 7.0):
+            values = [-0.0, -1e-17, -5e-324, span - math.ulp(span), span, 2 * span,
+                      -span - 0.25, 0.0, 1e8 + 0.5]
+            got = _wrap(values, [span] * len(values))
+            want = (np.mod(np.array(values) - 0.0, span) + 0.0).tolist()
+            assert got == want
+            assert [math.copysign(1.0, v) for v in got] == [
+                math.copysign(1.0, v) for v in want]
+        assert _wrap([-1e-17], [3.0]) == [3.0]
+
+    def test_splice_matches_full_wrap_and_decode(self):
+        # One coordinate moves; the rest are wrapped as np.mod would, which
+        # sends a coordinate at exactly its span to 0.
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            bounds = tuple(int(a) for a in rng.integers(1, 6, size=rng.integers(1, 6)))
+            span = [float(a) for a in bounds]
+            x = [float(rng.uniform(0, a)) for a in bounds]
+            if rng.random() < 0.5:
+                i = int(rng.integers(len(x)))
+                x[i] = span[i]
+            k = int(rng.integers(len(x)))
+            kind = rng.integers(4)
+            if kind == 0:
+                step = float(rng.normal(0, 3))
+            elif kind == 1:
+                x[k], step = 0.0, -1e-17  # wraps up to exactly the span
+            else:
+                step = -x[k] if kind == 2 else span[k]
+            moved = np.array(x)
+            moved[k] = x[k] + step
+            want_x = np.mod(moved - 0.0, np.array(span)) + 0.0
+            got_x, got_sol = _splice(x, decode(x, bounds), k, step, span, bounds)
+            assert got_x == want_x.tolist()
+            assert got_sol == decode(want_x, bounds)
 
     def test_population_permutation_symmetry(self):
         # Rearranged initial members produce the rearranged outputs.
@@ -351,3 +449,176 @@ class TestEngines:
         circ = reassemble((0,) * len(approx.blocks), approx)
         original = Circuit(3, (cx(0, 1), rx(0.4, 0), cx(1, 2), rx(0.2, 2), cx(0, 1)))
         assert hs_distance(unitary_of(circ), unitary_of(original)) < 1e-10
+
+
+# --- the annealer as it was before its lists and splice, kept as reference ---
+# The visiting scale (``_sigma``) is inherited: it did not change.
+
+_REF_TAIL_LIMIT = 1e8
+
+
+class _RefVisitor(_Visitor):
+    def __init__(self, q_v, lower, upper):
+        super().__init__(q_v)
+        self.lower = lower
+        self.upper = upper
+        self.span = upper - lower
+
+    def _deviate(self, rng, temperature, size):
+        qv = self.q_v
+        normals = rng.normal(size=2 * size)
+        x = normals[:size] * self._sigma(temperature)
+        y = normals[size:]
+        den = np.exp((qv - 1.0) * np.log(np.abs(y)) / (3.0 - qv))
+        visit = x / den
+        tails = rng.uniform(size=2 * size)
+        values = visit.tolist()
+        if any(v > _REF_TAIL_LIMIT for v in values):
+            visit = np.where(visit > _REF_TAIL_LIMIT, _REF_TAIL_LIMIT * tails[:size], visit)
+        if any(v < -_REF_TAIL_LIMIT for v in values):
+            visit = np.where(visit < -_REF_TAIL_LIMIT, -_REF_TAIL_LIMIT * tails[size:], visit)
+        return visit
+
+    def _deviate_one(self, rng, temperature):
+        qv = self.q_v
+        x, y = rng.normal(size=2)
+        visit = x * self._sigma(temperature) / np.exp(
+            (qv - 1.0) * np.log(abs(y)) / (3.0 - qv))
+        high, low = rng.uniform(size=2)
+        if visit > _REF_TAIL_LIMIT:
+            visit = _REF_TAIL_LIMIT * high
+        if visit < -_REF_TAIL_LIMIT:
+            visit = -_REF_TAIL_LIMIT * low
+        return visit
+
+    def visit(self, x, temperature, rng, dim=None):
+        if dim is None:
+            x_new = x + self._deviate(rng, temperature, len(x))
+        else:
+            x_new = x.copy()
+            x_new[dim] = x[dim] + self._deviate_one(rng, temperature)
+        x_new = np.mod(x_new - self.lower, self.span) + self.lower
+        return x_new
+
+
+def _ref_temperature(t0, step, q_v):
+    s = float(step) + 2.0
+    return t0 * (2.0 ** (q_v - 1.0) - 1.0) / (s ** (q_v - 1.0) - 1.0)
+
+
+def _ref_accept(e_new, e_cur, temperature_step, q_a, rng):
+    if e_new <= e_cur:
+        return True
+    pqa = 1.0 - (1.0 - q_a) * (e_new - e_cur) / temperature_step
+    if pqa <= 0.0:
+        return False
+    return rng.uniform() <= math.exp(math.log(pqa) / (1.0 - q_a))
+
+
+def _ref_decode(x, bounds):
+    return tuple(
+        min(int(math.floor(v)), a - 1) for v, a in zip(np.asarray(x).tolist(), bounds)
+    )
+
+
+@dataclass
+class _RefMember:
+    x: np.ndarray
+    rng: np.random.Generator
+    e_cur: float
+    best_x: np.ndarray
+    best_e: float
+
+
+def _ref_anneal(f, bounds, cfg, starts):
+    lower, upper = np.zeros(len(bounds)), np.array(bounds, dtype=float)
+    p = len(bounds)
+    max_iterations = cfg.max_iterations or 1000 * p
+    visitor = _RefVisitor(cfg.q_v, lower, upper)
+    members = []
+    snapshot = [_ref_decode(x0, bounds) for x0, _ in starts]
+    for idx, (x0, rng) in enumerate(starts):
+        e0 = f(snapshot[idx], snapshot[:idx] + snapshot[idx + 1 :])
+        members.append(_RefMember(x0.copy(), rng, e0, x0.copy(), e0))
+    since_restart = 0
+    for it in range(max_iterations):
+        temperature = _ref_temperature(cfg.initial_temperature, since_restart, cfg.q_v)
+        if temperature < cfg.initial_temperature * cfg.restart_temp_ratio:
+            for m in members:
+                m.x = m.best_x.copy()
+                m.e_cur = m.best_e
+            since_restart = 0
+            temperature = _ref_temperature(cfg.initial_temperature, 0, cfg.q_v)
+        t_step = temperature / float(it + 1)
+        snapshot = [_ref_decode(m.x, bounds) for m in members]
+        for idx, m in enumerate(members):
+            others = snapshot[:idx] + snapshot[idx + 1 :]
+            if len(members) > 1:
+                m.e_cur = f(snapshot[idx], others)
+                if m.e_cur < m.best_e:
+                    m.best_x, m.best_e = m.x.copy(), m.e_cur
+            for j in range(2 * p):
+                dim = None if j < p else j - p
+                x_visit = visitor.visit(m.x, temperature, m.rng, dim)
+                e_new = f(_ref_decode(x_visit, bounds), others)
+                if e_new < m.best_e:
+                    m.best_x, m.best_e = x_visit.copy(), e_new
+                if _ref_accept(e_new, m.e_cur, t_step, cfg.q_a, m.rng):
+                    m.x, m.e_cur = x_visit, e_new
+        since_restart += 1
+    return [(_ref_decode(m.best_x, bounds), m.best_e) for m in members]
+
+
+class TestAnnealerMatchesReference:
+    """Same results and the same objective calls, in the same order, as the
+    reference loop above."""
+
+    CONFIGS = (
+        dict(max_iterations=30),
+        dict(max_iterations=12, initial_temperature=5e7),  # tail draws
+        dict(max_iterations=30, restart_temp_ratio=0.5),   # reanneals often
+    )
+
+    @staticmethod
+    def _problem(seed):
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(1, 6))
+        bounds = tuple(int(a) for a in rng.integers(1, 6, size=p))
+        if p > 1:
+            bounds = bounds[:-1] + (1,)  # always one single-candidate block
+        table = [rng.uniform(0.0, 1.0, size=a).round(1).tolist() for a in bounds]
+
+        def make_f(calls):
+            def f(sol, others):
+                calls.append((sol, tuple(others)))
+                return sum(table[b][c] for b, c in enumerate(sol)) + 0.5 * others.count(sol)
+            return f
+        return bounds, make_f
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dual_anneal(self, seed):
+        bounds, make_f = self._problem(seed)
+        for kw in self.CONFIGS:
+            cfg = AnnealerConfig(seed=seed, **kw)
+            got_calls, want_calls = [], []
+            got = dual_anneal(lambda s: make_f(got_calls)(s, []), bounds, cfg)
+            rng = np.random.default_rng(cfg.seed)
+            x0 = rng.uniform(np.zeros(len(bounds)), np.array(bounds, dtype=float))
+            want = _ref_anneal(make_f(want_calls), bounds, cfg, [(x0, rng)])[0]
+            assert got == want, kw
+            assert got_calls == want_calls, kw
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_population_anneal(self, seed):
+        bounds, make_f = self._problem(100 + seed)
+        for kw in self.CONFIGS:
+            cfg = AnnealerConfig(seed=seed, **kw)
+            got_calls, want_calls = [], []
+            got = population_anneal(make_f(got_calls), bounds, cfg, 3)
+            setup = np.random.default_rng(cfg.seed)
+            initial = [setup.uniform(np.zeros(len(bounds)), np.array(bounds, dtype=float))
+                       for _ in range(3)]
+            starts = [(x0, _member_rng(cfg.seed, x0)) for x0 in initial]
+            want = _ref_anneal(make_f(want_calls), bounds, cfg, starts)
+            assert got == want, kw
+            assert got_calls == want_calls, kw

@@ -4,6 +4,12 @@ Basis convention (fixed everywhere in this package): qubit 0 is the least
 significant bit of the computational basis index, so a basis state index is
 ``sum(bit_q << q)``.  Matrices are dense; the largest objects we ever build
 are 2^12 x 2^12.
+
+Products of gates go through one kernel, ``gate_product``: it keeps the
+running product as a tensor in whatever axis order the previous gate left
+it, so each gate costs one permuted copy and one ``np.dot``.  ``unitary_of``
+and the fitter in ``expand`` use it; ``apply_unitary`` applies one gate to
+an existing matrix, with the same axis convention (``_apply_plan``).
 """
 from __future__ import annotations
 
@@ -173,8 +179,8 @@ def apply_unitary(mat: np.ndarray, u: np.ndarray, qubits: Sequence[int], n: int)
     ``u`` acts on ``qubits`` (first-listed qubit = high bit of u's local
     index) inside an ``n``-qubit system; ``mat`` is ``2^n x 2^n``.  This is
     ``np.tensordot`` over the gate's row axes followed by ``np.moveaxis``,
-    spelled out with cached permutations because the fitting loop calls it
-    for every gate of every trial.
+    spelled out with cached permutations.  For a sequence of gates use
+    ``gate_product``, which skips the copy back to logical order.
     """
     m = len(qubits)
     dim = 1 << n
@@ -185,13 +191,68 @@ def apply_unitary(mat: np.ndarray, u: np.ndarray, qubits: Sequence[int], n: int)
     return np.ascontiguousarray(t.reshape(dim, dim))
 
 
+@lru_cache(maxsize=None)
+def _step_plan(
+    prev: tuple[int, ...], qubits: tuple[int, ...], n: int
+) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    """One step of ``gate_product``: ``(perm, rows, logical)``.
+
+    The running product is a ``(2,)*n + (2^n,)`` tensor whose axes are in
+    the front order of ``_apply_plan(prev, n)`` (logical order for ``prev``
+    = ``()``).  ``perm`` brings it to the front order of ``qubits``, ``rows``
+    is the gate's dimension and ``logical`` views the product in logical
+    order.
+    """
+    order, logical = _apply_plan(prev, n)
+    front, _ = _apply_plan(qubits, n)
+    return tuple(order.index(a) for a in front), 1 << len(qubits), logical
+
+
+def gate_plan(qubit_lists: Sequence[Sequence[int]], n: int) -> tuple[list, tuple[int, ...]]:
+    """The permutations ``gate_product`` needs for gates on ``qubit_lists``.
+
+    Depends only on the qubits, so a caller applying many parameter sets to
+    one gate layout builds it once.
+    """
+    steps, prev = [], ()
+    for qubits in qubit_lists:
+        qubits = tuple(qubits)
+        steps.append(_step_plan(prev, qubits, n))
+        prev = qubits
+    return steps, _apply_plan(prev, n)[1]
+
+
+def gate_product(mats: Sequence[np.ndarray], plan, n: int, taps=None) -> np.ndarray:
+    """Return ``embed(u_k) @ ... @ embed(u_1)`` as a contiguous ``2^n x 2^n`` matrix.
+
+    ``mats`` are the gates' local unitaries and ``plan`` is
+    ``gate_plan(qubits of each gate, n)``.  The running product stays a
+    ``(2,)*n + (2^n,)`` tensor in whatever row-axis order the last gate left
+    it, so each gate costs one permuted copy and one ``np.dot``; the columns
+    never move.  Each ``np.dot`` receives the same array that ``apply_unitary``
+    would build from the logical product, so the result is bit-identical to
+    chaining ``apply_unitary`` from the identity.
+
+    ``taps`` maps a gate index to a writable ``(2,)*n + (2^n,)`` array; the
+    product of the gates before that index is copied into it in logical order.
+    """
+    steps, back = plan
+    dim = 1 << n
+    shape = (2,) * n + (dim,)
+    t = np.eye(dim, dtype=complex).reshape(shape)
+    for g, (u, (perm, rows, logical)) in enumerate(zip(mats, steps)):
+        tap = taps.get(g) if taps else None
+        if tap is not None:
+            tap[...] = t.transpose(logical)
+        t = np.dot(u, t.transpose(perm).reshape(rows, -1)).reshape(shape)
+    return t.transpose(back).reshape(dim, dim)
+
+
 def unitary_of(circuit: Circuit) -> np.ndarray:
     """Exact unitary of a circuit: the product of its gates in application order."""
-    dim = 1 << circuit.num_qubits
-    mat = np.eye(dim, dtype=complex)
-    for g in circuit.gates:
-        mat = apply_unitary(mat, gate_matrix(g), g.qubits, circuit.num_qubits)
-    return mat
+    n = circuit.num_qubits
+    plan = gate_plan([g.qubits for g in circuit.gates], n)
+    return gate_product([gate_matrix(g) for g in circuit.gates], plan, n)
 
 
 def cnot_count(circuit: Circuit) -> int:

@@ -3,7 +3,10 @@
 Each partition block gets a candidate list: candidate 0 is always the exact
 original, followed by fitted ansatz circuits with m = 0 .. cnots-1 CX gates
 that land within the keep threshold.  Fitting minimizes the Hilbert-Schmidt
-distance with multi-start finite-difference gradient descent.
+distance with multi-start finite-difference gradient descent.  Every
+product of template gates goes through ``circuits.gate_product``; a sweep
+that evaluates a point also keeps its prefix products, and the line search
+hands the accepted trial's sweep to the next gradient.
 """
 from __future__ import annotations
 
@@ -16,10 +19,10 @@ from .circuits import (
     Circuit,
     Gate,
     GateKind,
-    apply_unitary,
     cnot_count,
     gate_matrix,
-    hs_distance,
+    gate_plan,
+    gate_product,
     u3_matrix,
     unitary_of,
 )
@@ -153,12 +156,11 @@ class AnsatzTemplate:
         return Circuit(self.num_qubits, tuple(gates))
 
     def unitary(self, params: np.ndarray) -> np.ndarray:
-        dim = 1 << self.num_qubits
-        mat = np.eye(dim, dtype=complex)
-        for kind, qubits, off in self.ops():
-            u = _CX if kind == "cx" else u3_matrix(*params[off : off + 3])
-            mat = apply_unitary(mat, u, qubits, self.num_qubits)
-        return mat
+        ops = self.ops()
+        mats = [_CX if kind == "cx" else u3_matrix(*params[off : off + 3])
+                for kind, _, off in ops]
+        plan = gate_plan([qubits for _, qubits, _ in ops], self.num_qubits)
+        return gate_product(mats, plan, self.num_qubits)
 
 
 def ansatz(m: int, q: int) -> AnsatzTemplate:
@@ -183,10 +185,26 @@ class OptBudget:
     fd_step: float = 1e-6
     tol: float = 1e-8
 
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be non-negative, got {self.max_iters}")
+        if not self.fd_step > 0:
+            raise ValueError(f"fd_step must be positive, got {self.fd_step}")
+        if not self.tol >= 0:
+            raise ValueError(f"tol must be non-negative, got {self.tol}")
+
 
 class _TraceObjective:
     """HS distance of an instantiated template to a target, with a cheap
-    finite-difference gradient via prefix/suffix trace factorization."""
+    finite-difference gradient via prefix/suffix trace factorization.
+
+    ``sweep`` evaluates the distance with ``gate_product`` and copies the
+    prefix before every U3 op into a stack along the way; ``grad`` takes that
+    state, so a line-search trial that is accepted hands its prefixes to the
+    next gradient instead of having them recomputed.
+    """
 
     def __init__(self, template: AnsatzTemplate, target: np.ndarray):
         self.template = template
@@ -219,6 +237,16 @@ class _TraceObjective:
             col[axis] = "x"  # col S-bit = a
             spec = "Z" + "".join(row) + "".join(col) + "->Zxy"
             self._l_groups.append((np.array(rows, dtype=np.intp), spec))
+        qubit_lists = [qubits for _, qubits, _ in self.ops]
+        self._plan = gate_plan(qubit_lists, self.n)
+        self._suffix_plan = gate_plan(qubit_lists[::-1], self.n)
+        self._stack_shape = (len(self._u3_ops),) + (2,) * self.n + (self.dim,)
+        # _suf[i] is the product of the ops after U3 op i.  The suffix chain
+        # runs on transposes, so its taps write through transposed views.
+        self._suf = np.empty((len(self._u3_ops), self.dim, self.dim), dtype=complex)
+        suf_t = self._suf.swapaxes(1, 2).reshape(self._stack_shape)
+        last = len(self.ops) - 1
+        self._suf_taps = dict(zip([last - g for g in self._u3_ops], suf_t))
 
     def _gate_mats(self, params):
         u3s = _u3_matrices(params[self._u3_params])
@@ -227,40 +255,30 @@ class _TraceObjective:
             mats[g] = u3s[i]
         return mats
 
-    def value(self, params: np.ndarray) -> float:
-        dim = self.dim
-        mat = np.eye(dim, dtype=complex)
-        for (kind, qubits, off), u in zip(self.ops, self._gate_mats(params)):
-            mat = apply_unitary(mat, u, qubits, self.n)
-        return 1.0 - abs(np.trace(self.adj_target @ mat)) / dim
+    def sweep(self, params: np.ndarray, reuse=None) -> tuple[float, tuple]:
+        """Distance at ``params`` and the state ``grad`` needs there.
 
-    def value_and_grad(self, params: np.ndarray, h: float) -> tuple[float, np.ndarray]:
-        """Value and forward-difference gradient, one U3 angle moved at a time.
+        The state holds ``params``, the gate matrices and the stacked prefix
+        before every U3 op.  A state passed as ``reuse`` is overwritten.
+        """
+        mats = self._gate_mats(params)
+        pre = np.empty(self._stack_shape, dtype=complex) if reuse is None else reuse[2]
+        mat = gate_product(mats, self._plan, self.n, dict(zip(self._u3_ops, pre)))
+        return 1.0 - abs(np.trace(self.adj_target @ mat)) / self.dim, (params, mats, pre)
+
+    def grad(self, value: float, state: tuple, h: float) -> np.ndarray:
+        """Forward-difference gradient at a swept point, one U3 angle moved at a time.
 
         The trace with one gate replaced is ``sum_ab L[a,b] u[a,b]`` where L
         is a partial trace of ``K = prefix . target^dag . suffix``; all U3
         ops are handled together as stacks of K, L and perturbed gates.
         """
+        params, mats, pre = state
         n, dim = self.n, self.dim
-        mats = self._gate_mats(params)
-        num_ops = len(self.ops)
-        pre = [None] * (num_ops + 1)
-        pre[0] = np.eye(dim, dtype=complex)
-        for g, ((kind, qubits, off), u) in enumerate(zip(self.ops, mats)):
-            pre[g + 1] = apply_unitary(pre[g], u, qubits, n)
-        suf = [None] * (num_ops + 1)
-        suf[num_ops] = np.eye(dim, dtype=complex)
-        for g in range(num_ops - 1, -1, -1):
-            kind, qubits, off = self.ops[g]
-            # suf[g] = suf[g+1] @ embed(u_g) as a product of gates > g-1.
-            suf[g] = apply_unitary(suf[g + 1].T, mats[g].T, qubits, n).T
-
-        t0 = np.trace(self.adj_target @ pre[num_ops])
-        v0 = 1.0 - abs(t0) / dim
+        gate_product([u.T for u in reversed(mats)], self._suffix_plan, n, self._suf_taps)
         grad = np.zeros(self.template.num_params)
         # A stacked matmul runs each item's product as the 2-D one would.
-        K = (np.stack([pre[g] for g in self._u3_ops]) @ self.adj_target
-             @ np.stack([suf[g + 1] for g in self._u3_ops]))
+        K = pre.reshape(-1, dim, dim) @ self.adj_target @ self._suf
         # L[i, j] is U3 op i's L, once per angle, each 2x2 stored column-major
         # as einsum returns a single L; the layout fixes the summation order
         # of the traces below, so they match gate-at-a-time evaluation.
@@ -274,8 +292,8 @@ class _TraceObjective:
         t = np.einsum("gjab,gjab->gj", L, _u3_matrices(steps))
         # hypot is abs() of one complex value; np.abs on an array may round
         # differently.
-        grad[self._u3_params] = ((1.0 - np.hypot(t.real, t.imag) / dim) - v0) / h
-        return v0, grad
+        grad[self._u3_params] = ((1.0 - np.hypot(t.real, t.imag) / dim) - value) / h
+        return grad
 
 
 def _u3_matrices(angles: np.ndarray) -> np.ndarray:
@@ -303,22 +321,26 @@ def optimize_params(
     """Fit template parameters to a target unitary under the HS distance.
 
     Multi-start gradient descent with backtracking line search; gradients
-    are finite differences.  Deterministic given the seed.
+    are finite differences.  Deterministic given the seed.  The accepted
+    trial's sweep is the state of the next gradient, so an iteration costs
+    one gradient plus one sweep per trial; at most two states (the current
+    point's and the trial's) are alive.
     """
     budget = budget or OptBudget()
     obj = _TraceObjective(template, target)
     base_seed = list(np.atleast_1d(seed).astype(np.int64))
     best_params = None
     best_value = np.inf
+    state = spare = None
     for r in range(budget.restarts):
         rng = np.random.default_rng(base_seed + [r])
         params = rng.uniform(-np.pi, np.pi, template.num_params)
-        value = obj.value(params)
+        value, state = obj.sweep(params, state)
         step = 0.5
         for _ in range(budget.max_iters):
             if value < budget.tol:
                 break
-            value, grad = obj.value_and_grad(params, budget.fd_step)
+            grad = obj.grad(value, state, budget.fd_step)
             gsq = float(grad @ grad)
             if gsq < 1e-18:
                 break
@@ -326,9 +348,10 @@ def optimize_params(
             improved = False
             for _ in range(30):
                 trial = params - s * grad
-                v_new = obj.value(trial)
+                v_new, spare = obj.sweep(trial, spare)
                 if v_new < value - 1e-4 * s * gsq:
                     params, value = trial, v_new
+                    state, spare = spare, state
                     improved = True
                     break
                 s *= 0.5

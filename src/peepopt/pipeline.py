@@ -75,6 +75,7 @@ class RunConfig:
         for name in self.configs:
             if name not in CONFIGURATIONS:
                 raise ValueError(f"unknown configuration '{name}'")
+        self.budget()  # rejects an expand budget that would break fitting
 
     def annealer_config(self) -> AnnealerConfig:
         return AnnealerConfig(

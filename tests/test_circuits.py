@@ -7,10 +7,13 @@ from peepopt.circuits import (
     EmbeddingError,
     Gate,
     GateKind,
+    apply_unitary,
     cnot_count,
     compose,
     cx,
     gate_matrix,
+    gate_plan,
+    gate_product,
     hs_distance,
     rx,
     rz,
@@ -87,6 +90,63 @@ class TestUnitaryOf:
             circ = random_circuit(rng, 3, 12)
             u = unitary_of(circ)
             assert np.allclose(u @ u.conj().T, np.eye(8), atol=1e-10)
+
+
+def _chained(mats, qubit_lists, n):
+    """Products after 0, 1, ... gates, one ``apply_unitary`` call per gate."""
+    out = [np.eye(1 << n, dtype=complex)]
+    for u, qubits in zip(mats, qubit_lists):
+        out.append(apply_unitary(out[-1], u, qubits, n))
+    return out
+
+
+class TestGateProduct:
+    """``gate_product`` against the ``apply_unitary`` chain it replaces, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_equals_chained_apply_unitary(self, n):
+        rng = np.random.default_rng(40 + n)
+        for _ in range(4):
+            circ = random_circuit(rng, n, 14)
+            mats = [gate_matrix(g) for g in circ.gates]
+            qubit_lists = [g.qubits for g in circ.gates]
+            chain = _chained(mats, qubit_lists, n)
+            shape = (2,) * n + (1 << n,)
+            taps = {g: np.empty(shape, dtype=complex) for g in range(0, len(mats), 3)}
+            out = gate_product(mats, gate_plan(qubit_lists, n), n, taps)
+            assert out.flags.c_contiguous
+            assert np.array_equal(out, chain[-1])
+            for g, tap in taps.items():
+                assert np.array_equal(tap.reshape(1 << n, 1 << n), chain[g])
+            assert np.array_equal(unitary_of(circ), chain[-1])
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_transposed_chain_equals_suffix_loop(self, n):
+        # The fitter's suffix sweep: S_g = S_{g+1} . embed(u_g), run as the
+        # product of the transposed gates in reverse order, with the taps
+        # writing each S_{g+1} through a transposed view.
+        rng = np.random.default_rng(50 + n)
+        dim = 1 << n
+        circ = random_circuit(rng, n, 16)
+        mats = [gate_matrix(g) for g in circ.gates]
+        qubit_lists = [g.qubits for g in circ.gates]
+        suf = [np.eye(dim, dtype=complex)]
+        for u, qubits in zip(reversed(mats), reversed(qubit_lists)):
+            suf.insert(0, apply_unitary(suf[0].T, u.T, qubits, n).T)
+        stack = np.empty((len(mats), dim, dim), dtype=complex)
+        views = stack.swapaxes(1, 2).reshape((len(mats),) + (2,) * n + (dim,))
+        last = len(mats) - 1
+        taps = {last - g: views[g] for g in range(len(mats))}
+        plan = gate_plan(qubit_lists[::-1], n)
+        out = gate_product([u.T for u in reversed(mats)], plan, n, taps)
+        assert np.array_equal(out.T, suf[0])
+        for g in range(len(mats)):
+            assert np.array_equal(stack[g], suf[g + 1])
+
+    def test_empty_sequence_is_identity(self):
+        for n in (1, 3):
+            out = gate_product([], gate_plan([], n), n)
+            assert np.array_equal(out, np.eye(1 << n))
 
 
 class TestCnotCount:

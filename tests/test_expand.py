@@ -1,4 +1,6 @@
 """Unit tests for the ansatz, optimizer, and block expansion."""
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from peepopt.expand import (
 from peepopt.expand import _CX, _TraceObjective, _u3_matrices
 from peepopt.noise import NoiseModel
 from peepopt.partition import scan_partition
+from peepopt.pipeline import RunConfig
 
 FAST = OptBudget(restarts=3, max_iters=80)
 
@@ -73,6 +76,16 @@ class TestAnsatz:
         assert hs_distance(t.unitary(params),
                            unitary_of(t.instantiate(params))) < 1e-12
 
+    @pytest.mark.parametrize("m,q", [(0, 1), (3, 2), (5, 3), (9, 4)])
+    def test_unitary_equals_apply_unitary_loop(self, m, q):
+        t = ansatz(m, q)
+        params = np.random.default_rng(m + q).uniform(-np.pi, np.pi, t.num_params)
+        mat = np.eye(1 << q, dtype=complex)
+        for kind, qubits, off in t.ops():
+            u = _CX if kind == "cx" else u3_matrix(*params[off:off + 3])
+            mat = apply_unitary(mat, u, qubits, q)
+        assert t.unitary(params).tobytes() == mat.tobytes()
+
 
 class TestTraceObjectiveGradient:
     def test_gradient_matches_naive_finite_differences(self):
@@ -82,12 +95,12 @@ class TestTraceObjectiveGradient:
         obj = _TraceObjective(t, target)
         params = rng.uniform(-np.pi, np.pi, t.num_params)
         h = 1e-6
-        value, grad = obj.value_and_grad(params, h)
-        assert value == pytest.approx(obj.value(params), abs=1e-12)
+        value, state = obj.sweep(params)
+        grad = obj.grad(value, state, h)
         for j in range(t.num_params):
             pert = params.copy()
             pert[j] += h
-            naive = (obj.value(pert) - obj.value(params)) / h
+            naive = (obj.sweep(pert)[0] - value) / h
             assert grad[j] == pytest.approx(naive, abs=1e-6)
 
     @pytest.mark.parametrize("m,q", [(3, 3), (5, 4), (0, 1)])
@@ -101,12 +114,12 @@ class TestTraceObjectiveGradient:
         obj = _TraceObjective(t, target)
         params = rng.uniform(-np.pi, np.pi, t.num_params)
         h = 1e-6
-        value, grad = obj.value_and_grad(params, h)
-        assert value == obj.value(params)
+        value, state = obj.sweep(params)
+        grad = obj.grad(value, state, h)
         for j in range(t.num_params):
             pert = params.copy()
             pert[j] += h
-            naive = (obj.value(pert) - value) / h
+            naive = (obj.sweep(pert)[0] - value) / h
             assert grad[j] == pytest.approx(naive, abs=1e-6)
 
     @pytest.mark.parametrize("m,q", [(4, 3), (6, 4), (1, 2)])
@@ -146,9 +159,9 @@ class TestTraceObjectiveGradient:
                 pert[j] += h
                 tj = np.einsum("ab,ab->", L, u3_matrix(*pert))
                 expected[off + j] = ((1.0 - abs(tj) / dim) - v0) / h
-        value, grad = obj.value_and_grad(params, h)
+        value, state = obj.sweep(params)
         assert value == v0
-        assert np.array_equal(grad, expected)
+        assert np.array_equal(obj.grad(value, state, h), expected)
 
     def test_stacked_u3_matrices_equal_u3_matrix(self):
         rng = np.random.default_rng(12)
@@ -181,6 +194,165 @@ class TestOptimizeParams:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             _TraceObjective(ansatz(0, 2), np.eye(2))
+
+
+class _ReferenceObjective(_TraceObjective):
+    """The objective before ``sweep``/``grad``: one ``apply_unitary`` call per
+    gate, the prefixes rebuilt for every gradient.  Kept as the reference
+    the new loop must match bit for bit."""
+
+    def value(self, params):
+        dim = self.dim
+        mat = np.eye(dim, dtype=complex)
+        for (kind, qubits, off), u in zip(self.ops, self._gate_mats(params)):
+            mat = apply_unitary(mat, u, qubits, self.n)
+        return 1.0 - abs(np.trace(self.adj_target @ mat)) / dim
+
+    def value_and_grad(self, params, h):
+        n, dim = self.n, self.dim
+        mats = self._gate_mats(params)
+        num_ops = len(self.ops)
+        pre = [None] * (num_ops + 1)
+        pre[0] = np.eye(dim, dtype=complex)
+        for g, ((kind, qubits, off), u) in enumerate(zip(self.ops, mats)):
+            pre[g + 1] = apply_unitary(pre[g], u, qubits, n)
+        suf = [None] * (num_ops + 1)
+        suf[num_ops] = np.eye(dim, dtype=complex)
+        for g in range(num_ops - 1, -1, -1):
+            kind, qubits, off = self.ops[g]
+            suf[g] = apply_unitary(suf[g + 1].T, mats[g].T, qubits, n).T
+        t0 = np.trace(self.adj_target @ pre[num_ops])
+        v0 = 1.0 - abs(t0) / dim
+        grad = np.zeros(self.template.num_params)
+        K = (np.stack([pre[g] for g in self._u3_ops]) @ self.adj_target
+             @ np.stack([suf[g + 1] for g in self._u3_ops]))
+        L = np.empty((len(self._u3_ops), 3, 2, 2), dtype=complex).swapaxes(2, 3)
+        for rows, spec in self._l_groups:
+            L[rows] = np.einsum(spec, K[rows].reshape((len(rows),) + (2,) * (2 * n)))[:, None]
+        steps = np.repeat(params[self._u3_params][:, None, :], 3, axis=1)
+        diag = np.arange(3)
+        steps[:, diag, diag] += h
+        t = np.einsum("gjab,gjab->gj", L, _u3_matrices(steps))
+        grad[self._u3_params] = ((1.0 - np.hypot(t.real, t.imag) / dim) - v0) / h
+        return v0, grad
+
+
+def _reference_optimize(template, target, budget, seed, exits):
+    """``optimize_params`` before the state reuse, counting in ``exits`` how
+    each restart ended and how many restarts ran."""
+    obj = _ReferenceObjective(template, target)
+    base_seed = list(np.atleast_1d(seed).astype(np.int64))
+    best_params = None
+    best_value = np.inf
+    for r in range(budget.restarts):
+        exits["restarts"] += 1
+        rng = np.random.default_rng(base_seed + [r])
+        params = rng.uniform(-np.pi, np.pi, template.num_params)
+        value = obj.value(params)
+        step = 0.5
+        for _ in range(budget.max_iters):
+            if value < budget.tol:
+                exits["tol"] += 1
+                break
+            value, grad = obj.value_and_grad(params, budget.fd_step)
+            gsq = float(grad @ grad)
+            if gsq < 1e-18:
+                exits["gsq"] += 1
+                break
+            s = step
+            improved = False
+            for _ in range(30):
+                trial = params - s * grad
+                v_new = obj.value(trial)
+                if v_new < value - 1e-4 * s * gsq:
+                    params, value = trial, v_new
+                    improved = True
+                    break
+                s *= 0.5
+            if not improved:
+                exits["line_search"] += 1
+                break
+            step = min(s * 2.0, 2.0)
+        else:
+            exits["max_iters"] += 1
+        if value < best_value:
+            best_value, best_params = value, params.copy()
+        if best_value < budget.tol:
+            break
+    return best_params, float(best_value)
+
+
+def _random_unitary(rng, q):
+    dim = 1 << q
+    u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return u
+
+
+def _assert_same_fit(template, target, budget, seed, exits):
+    params, value = optimize_params(template, target, budget, seed)
+    ref_params, ref_value = _reference_optimize(template, target, budget, seed, exits)
+    assert params.tobytes() == ref_params.tobytes()
+    assert value == ref_value
+
+
+class TestFitMatchesReference:
+    """``optimize_params`` returns the reference loop's bytes on every exit."""
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_random_targets(self, q):
+        exits = Counter()
+        budget = OptBudget(restarts=3, max_iters=6)
+        for m in range(10 if q > 1 else 1):
+            for seed in range(2):
+                target = _random_unitary(np.random.default_rng([q, m, seed]), q)
+                _assert_same_fit(ansatz(m, q), target, budget, [seed, m], exits)
+        assert exits["max_iters"] > 0
+
+    def test_tol_exit_skips_later_restarts(self):
+        # An exactly reachable target: the first restart gets below tol.
+        exits = Counter()
+        _assert_same_fit(ansatz(0, 1), _exact_target(), OptBudget(restarts=3), 4, exits)
+        assert exits["tol"] == 1 and exits["restarts"] == 1
+
+    def test_zero_gradient_exit(self):
+        # Tr(target^dag U) = 0 for every U, so the distance is flat.
+        exits = Counter()
+        _assert_same_fit(ansatz(1, 2), np.zeros((4, 4)), OptBudget(restarts=3), 0, exits)
+        assert exits["gsq"] == 3
+
+    def test_failed_line_search_exit(self):
+        # With tol = 0 the descent runs until the forward-difference error
+        # stops the Armijo test from passing.
+        exits = Counter()
+        budget = OptBudget(restarts=3, max_iters=500, tol=0.0)
+        _assert_same_fit(ansatz(0, 1), _exact_target(), budget, 4, exits)
+        assert exits["line_search"] == 3
+
+
+def _exact_target():
+    t = ansatz(0, 1)
+    return t.unitary(np.random.default_rng(0).uniform(-np.pi, np.pi, t.num_params))
+
+
+class TestOptBudgetValidation:
+    @pytest.mark.parametrize("kwargs", [
+        {"restarts": 0}, {"max_iters": -5}, {"fd_step": 0.0}, {"fd_step": -1e-6},
+        {"fd_step": float("nan")}, {"tol": -1e-8},
+    ])
+    def test_rejects_values_that_break_fitting(self, kwargs):
+        with pytest.raises(ValueError):
+            OptBudget(**kwargs)
+
+    def test_zero_iterations_returns_the_first_start(self):
+        t = ansatz(0, 1)
+        params, _ = optimize_params(t, np.eye(2), OptBudget(restarts=1, max_iters=0), seed=2)
+        start = np.random.default_rng([2, 0]).uniform(-np.pi, np.pi, t.num_params)
+        assert np.array_equal(params, start)
+
+    @pytest.mark.parametrize("kwargs", [{"expand_restarts": 0}, {"expand_max_iters": -1}])
+    def test_run_config_rejects_a_bad_budget_when_built(self, kwargs):
+        with pytest.raises(ValueError):
+            RunConfig(circuits=[], **kwargs)
 
 
 class TestExpandBlock:

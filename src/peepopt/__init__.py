@@ -19,7 +19,6 @@ from .partition import (
     PartitionBlock,
     PartitionGraph,
     build_partition_graph,
-    pair_subcircuit,
     scan_partition,
 )
 from .pipeline import RunConfig, cnot_reduction, ensemble_distribution, run_pipeline

@@ -5,11 +5,12 @@ significant bit of the computational basis index, so a basis state index is
 ``sum(bit_q << q)``.  Matrices are dense; the largest objects we ever build
 are 2^12 x 2^12.
 
-Products of gates go through one kernel, ``gate_product``: it keeps the
-running product as a tensor in whatever axis order the previous gate left
-it, so each gate costs one permuted copy and one ``np.dot``.  ``unitary_of``
-and the fitter in ``expand`` use it; ``apply_unitary`` applies one gate to
-an existing matrix, with the same axis convention (``_apply_plan``).
+Every product the library computes goes through one kernel, ``gate_product``:
+it keeps the running product as a tensor in whatever axis order the previous
+gate left it, so each gate costs one permuted copy and one ``np.dot``.
+``apply_unitary`` applies one gate to an existing matrix with the same axis
+convention (``_apply_plan``); no library code calls it, and it stays as the
+single-gate reference the tests hold ``gate_product`` to.
 """
 from __future__ import annotations
 

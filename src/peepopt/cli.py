@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .expand import ApproximationSet, OptBudget, expand_all, score_candidates
+from .expand import ApproximationSet, expand_all, score_candidates
 from .metrics import jsd, tvd
 from .noise import NoiseModel, counts_to_distribution
 from .partition import build_partition_graph, scan_partition
@@ -127,8 +127,6 @@ def _cmd_expand(args) -> int:
 
 def _cmd_recombine(args) -> int:
     approx = ApproximationSet.load(args.cache)
-    from .partition import build_partition_graph
-
     graph = build_partition_graph(approx.blocks)
     solutions = recombine(
         args.name,

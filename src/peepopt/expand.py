@@ -11,7 +11,7 @@ hands the accepted trial's sweep to the next gradient.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .circuits import (
     u3_matrix,
     unitary_of,
 )
+from .noise import NoiseModel, block_fidelity_score, simulate_density
 from .partition import PartitionBlock
 from .qasm import emit_qasm, parse_qasm
 
@@ -403,8 +404,6 @@ def expand_all(
 
 def score_candidates(approx: ApproximationSet, noise) -> None:
     """Fill every candidate's noisy-fidelity score in place (idempotent)."""
-    from .noise import NoiseModel, block_fidelity_score, simulate_density
-
     for block, cands in zip(approx.blocks, approx.candidates):
         unscored = [cand for cand in cands if cand.fidelity_score is None]
         if not unscored:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import Circuit, Gate, apply_unitary, unitary_of
+from .circuits import Circuit, Gate, gate_plan, gate_product
 
 
 class InfeasiblePartitionError(ValueError):
@@ -19,7 +19,7 @@ class InfeasiblePartitionError(ValueError):
 
 
 class NonAdjacentBlocksError(ValueError):
-    """pair_subcircuit was asked for a block pair without a connecting edge."""
+    """pair_embedding was asked for a block pair without a connecting edge."""
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,6 @@ class PartitionGraph:
     def incident(self, block_id: int) -> list[tuple[int, int]]:
         """Edges touching a block, as (i, j) keys."""
         return [e for e in self.edges if block_id in e]
-
-    def weight(self, i: int, j: int) -> int:
-        return self.edges[(i, j)]
 
 
 def _make_block(block_id, qubits, gates, span):
@@ -125,28 +122,6 @@ def _is_edge(blocks: list[PartitionBlock], i: int, j: int) -> bool:
     return False
 
 
-def pair_subcircuit(
-    blocks: list[PartitionBlock], i: int, j: int
-) -> tuple[Circuit, tuple[int, ...]]:
-    """Block i followed by block j over the union of their qubit sets.
-
-    Returns the combined circuit and the map from union-local indices to
-    global qubits.  Requires (i -> j) to be a partition-graph edge; the
-    union has at most 2k-1 qubits since an edge shares at least one qubit.
-    """
-    if not _is_edge(blocks, i, j):
-        raise NonAdjacentBlocksError(f"blocks {i} and {j} are not adjacent")
-    union = tuple(sorted(set(blocks[i].qubits) | set(blocks[j].qubits)))
-    local_index = {q: x for x, q in enumerate(union)}
-    gates = []
-    for b in (blocks[i], blocks[j]):
-        for g in b.local_circuit.gates:
-            gates.append(
-                Gate(g.kind, g.params, tuple(local_index[b.qubits[q]] for q in g.qubits))
-            )
-    return Circuit(len(union), tuple(gates)), union
-
-
 def pair_embedding(
     blocks: list[PartitionBlock], i: int, j: int
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -173,20 +148,6 @@ def pair_unitary(
     a block's local qubit x.  Block unitaries follow the package basis
     convention, so local qubit 0 is their least significant bit.
     """
-    dim = 1 << union_size
-    mat = np.eye(dim, dtype=complex)
-    # apply_unitary expects first-listed qubit = high bit, so reverse.
-    mat = apply_unitary(mat, u_first, tuple(reversed(pos_first)), union_size)
-    mat = apply_unitary(mat, u_second, tuple(reversed(pos_second)), union_size)
-    return mat
-
-
-def reassembled_unitary(blocks: list[PartitionBlock], n: int) -> np.ndarray:
-    """Unitary of the blocks composed back onto the full register."""
-    dim = 1 << n
-    mat = np.eye(dim, dtype=complex)
-    for b in blocks:
-        mat = apply_unitary(
-            mat, unitary_of(b.local_circuit), tuple(reversed(b.qubits)), n
-        )
-    return mat
+    # gate_product expects first-listed qubit = high bit, so reverse.
+    plan = gate_plan([reversed(pos_first), reversed(pos_second)], union_size)
+    return gate_product([u_first, u_second], plan, union_size)

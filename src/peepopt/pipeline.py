@@ -1,15 +1,14 @@
 """End-to-end pipeline: parse, partition, expand, recombine, evaluate, report.
 
-The ideal reference defaults to the exact noiseless output distribution;
-the sampled 8192-shot protocol is available behind ``exact_ideal=False``.
-Timing is written to ``summary.csv`` only, so ``report.json`` is
-byte-identical across runs with the same inputs and seed.
+The ideal reference is the exact noiseless output distribution.  Timing
+is written to ``summary.csv`` only, so ``report.json`` is byte-identical
+across runs with the same inputs and seed.
 """
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -60,8 +59,6 @@ class RunConfig:
     q_a: float = -5.0
     initial_temperature: float = 5230.0
     shots_per_circuit: int = 1024
-    ideal_shots: int = 8192
-    exact_ideal: bool = True
     d_keep: float = 0.3
     expand_restarts: int = 8
     expand_max_iters: int = 200
@@ -70,12 +67,17 @@ class RunConfig:
     def __post_init__(self):
         if not 2 <= self.k <= 5:
             raise ValueError(f"k must be in [2, 5], got {self.k}")
-        if self.shots_per_circuit < 1 or self.ideal_shots < 1:
-            raise ValueError("shot counts must be positive")
+        if self.shots_per_circuit < 1:
+            raise ValueError(f"shots_per_circuit must be positive, got {self.shots_per_circuit}")
+        if self.c < 1:
+            raise ValueError(f"c must be at least 1, got {self.c}")
         for name in self.configs:
             if name not in CONFIGURATIONS:
                 raise ValueError(f"unknown configuration '{name}'")
-        self.budget()  # rejects an expand budget that would break fitting
+        # Build every stage's settings now, so a bad value fails before expand.
+        self.budget()
+        self.objective_config()
+        self.annealer_config()
 
     def annealer_config(self) -> AnnealerConfig:
         return AnnealerConfig(
@@ -95,6 +97,9 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         data = dict(data)
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown RunConfig keys: {', '.join(unknown)}")
         if "noise" in data and isinstance(data["noise"], dict):
             data["noise"] = NoiseModel.from_dict(data["noise"])
         return cls(**data)
@@ -202,14 +207,7 @@ def evaluate_circuit(path: str, cfg: RunConfig) -> CircuitReport:
     except ValueError as exc:
         raise PipelineError("expand", str(exc)) from exc
 
-    ideal = (
-        ideal_distribution(circuit)
-        if cfg.exact_ideal
-        else counts_to_distribution(
-            sample_counts(ideal_distribution(circuit), cfg.ideal_shots, [cfg.seed, 0xB]),
-            circuit.num_qubits,
-        )
-    )
+    ideal = ideal_distribution(circuit)
     base_counts = noisy_counts(circuit, cfg.noise, cfg.shots_per_circuit, [cfg.seed, 0xA])
     base_dist = counts_to_distribution(base_counts, circuit.num_qubits)
 

@@ -2,7 +2,7 @@
 
 Supported statements: ``OPENQASM 2.0``, ``include`` (ignored), ``qreg``,
 ``creg``, ``cx``, ``rx``, ``ry``, ``rz``, ``u3``, ``u`` (3-parameter alias),
-``measure`` (recorded, then stripped from the circuit), ``barrier``
+``measure`` (checked, then dropped), ``barrier``
 (ignored).  Angle expressions accept decimal/scientific literals and ``pi``
 arithmetic with ``+ - * /``, unary minus, and parentheses.
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 
 from .circuits import Circuit, Gate, GateKind
 
@@ -40,17 +39,6 @@ class UnsupportedGateError(QasmError):
 
 class QasmRangeError(QasmError):
     pass
-
-
-@dataclass
-class QasmDocument:
-    """Parse result: the circuit plus the stripped measurement statements."""
-
-    version: str
-    qreg_name: str
-    circuit: Circuit
-    creg_sizes: dict[str, int] = field(default_factory=dict)
-    measurements: list[tuple[int, str, int]] = field(default_factory=list)
 
 
 _GATE_KINDS = {
@@ -185,16 +173,14 @@ def _parse_operand(text: str, line: int) -> tuple[str, int | None]:
     return name, (int(idx) if idx is not None else None)
 
 
-def parse_document(text: str) -> QasmDocument:
-    """Parse an OpenQASM 2 source string into a document."""
+def parse_qasm(text: str) -> Circuit:
+    """Parse OpenQASM 2 source into a Circuit; measurements are checked, then dropped."""
     if not isinstance(text, str):
         raise QasmParseError("input is not a string")
     statements = _split_statements(text)
-    version = None
     qreg: tuple[str, int] | None = None
     cregs: dict[str, int] = {}
     gates: list[Gate] = []
-    measurements: list[tuple[int, str, int]] = []
 
     for line, stmt in statements:
         if stmt.startswith("OPENQASM"):
@@ -221,8 +207,6 @@ def parse_document(text: str) -> QasmDocument:
                     raise QasmRangeError(
                         f"creg '{cname}' too small for full-register measure", line
                     )
-                for q in range(qreg[1]):
-                    measurements.append((q, cname, q))
                 continue
             if qidx is None or cidx is None:
                 raise QasmParseError("measure mixes indexed and full-register operands", line)
@@ -230,7 +214,6 @@ def parse_document(text: str) -> QasmDocument:
                 raise QasmRangeError(f"qubit index {qidx} out of range", line)
             if cidx >= cregs[cname]:
                 raise QasmRangeError(f"bit index {cidx} out of range", line)
-            measurements.append((qidx, cname, cidx))
             continue
 
         m = _NAME_RE.match(stmt)
@@ -302,19 +285,7 @@ def parse_document(text: str) -> QasmDocument:
 
     if qreg is None:
         raise QasmParseError("no qreg declaration found")
-    circuit = Circuit(qreg[1], tuple(gates))
-    return QasmDocument(
-        version=version or "2.0",
-        qreg_name=qreg[0],
-        circuit=circuit,
-        creg_sizes=cregs,
-        measurements=measurements,
-    )
-
-
-def parse_qasm(text: str) -> Circuit:
-    """Parse OpenQASM 2 source into a Circuit (measurements stripped)."""
-    return parse_document(text).circuit
+    return Circuit(qreg[1], tuple(gates))
 
 
 def emit_qasm(circuit: Circuit) -> str:

@@ -74,6 +74,11 @@ class AnnealerConfig:
     def __post_init__(self):
         if not 1.0 < self.q_v < 3.0:
             raise ValueError(f"q_v must be in (1, 3), got {self.q_v}")
+        if self.initial_temperature <= 0:
+            raise ValueError(
+                f"initial_temperature must be positive, got {self.initial_temperature}")
+        if self.max_iterations is not None and self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
 
 
 def pair_unitary_table(
@@ -471,7 +476,7 @@ def _anneal(
     """
     span = [float(a) for a in bounds]
     p = len(bounds)
-    max_iterations = cfg.max_iterations or 1000 * p
+    max_iterations = 1000 * p if cfg.max_iterations is None else cfg.max_iterations
     visitor = _Visitor(cfg.q_v)
 
     members: list[_Member] = []

@@ -2,19 +2,28 @@
 import numpy as np
 import pytest
 
-from peepopt.circuits import Circuit, cx, hs_distance, rx, unitary_of
+from peepopt.circuits import Circuit, apply_unitary, compose, cx, hs_distance, rx, unitary_of
 from peepopt.partition import (
     InfeasiblePartitionError,
     NonAdjacentBlocksError,
     build_partition_graph,
     pair_embedding,
-    pair_subcircuit,
     pair_unitary,
-    reassembled_unitary,
     scan_partition,
 )
 from peepopt.qasm import parse_qasm
 from conftest import FIXTURE_FILES, random_circuit
+
+
+def reassembled(blocks, n):
+    """The blocks composed back onto the full register."""
+    return compose([b.local_circuit for b in blocks], [b.qubits for b in blocks], n)
+
+
+def random_unitary(rng, qubits):
+    dim = 1 << qubits
+    u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return u
 
 
 class TestScanPartition:
@@ -44,14 +53,14 @@ class TestScanPartition:
         for _ in range(5):
             circ = random_circuit(rng, 4, 25)
             blocks = scan_partition(circ, 3)
-            u = reassembled_unitary(blocks, 4)
+            u = unitary_of(reassembled(blocks, 4))
             assert hs_distance(u, unitary_of(circ)) < 1e-10
 
     @pytest.mark.parametrize("path", FIXTURE_FILES, ids=lambda p: p.stem)
     def test_fixture_reassembly(self, path):
         circ = parse_qasm(path.read_text())
         blocks = scan_partition(circ, 4)
-        u = reassembled_unitary(blocks, circ.num_qubits)
+        u = unitary_of(reassembled(blocks, circ.num_qubits))
         assert hs_distance(u, unitary_of(circ)) < 1e-10
 
     def test_local_indices_sorted_ascending(self):
@@ -99,20 +108,24 @@ class TestPartitionGraph:
 
 
 class TestPairSubcircuit:
+    """An adjacent block pair on its union qubits: ``pair_embedding`` and ``pair_unitary``."""
+
     def test_basic_pair(self):
-        circ = Circuit(3, (cx(0, 1), cx(1, 2)))
+        circ = Circuit(4, (cx(1, 3), cx(0, 1)))
         blocks = scan_partition(circ, 2)
-        pair, union = pair_subcircuit(blocks, 0, 1)
-        assert union == (0, 1, 2)
-        assert pair.gates == (cx(0, 1), cx(1, 2))
+        assert [b.qubits for b in blocks] == [(1, 3), (0, 1)]
+        union, pos_0, pos_1 = pair_embedding(blocks, 0, 1)
+        assert union == (0, 1, 3)
+        assert pos_0 == (1, 2)
+        assert pos_1 == (0, 1)
 
     def test_non_adjacent_rejected(self):
         circ = Circuit(3, (cx(0, 1), cx(1, 2)))
         blocks = scan_partition(circ, 2)
         with pytest.raises(NonAdjacentBlocksError):
-            pair_subcircuit(blocks, 1, 0)
+            pair_embedding(blocks, 1, 0)
         with pytest.raises(NonAdjacentBlocksError):
-            pair_subcircuit(blocks, 0, 0)
+            pair_embedding(blocks, 0, 0)
 
     def test_pair_unitary_matches_subcircuit(self):
         rng = np.random.default_rng(9)
@@ -120,8 +133,10 @@ class TestPairSubcircuit:
         blocks = scan_partition(circ, 3)
         graph = build_partition_graph(blocks)
         for (i, j) in graph.edges:
-            pair, union = pair_subcircuit(blocks, i, j)
-            _, pos_i, pos_j = pair_embedding(blocks, i, j)
+            union, pos_i, pos_j = pair_embedding(blocks, i, j)
+            pair = compose(
+                [blocks[i].local_circuit, blocks[j].local_circuit], [pos_i, pos_j], len(union)
+            )
             u = pair_unitary(
                 unitary_of(blocks[i].local_circuit),
                 unitary_of(blocks[j].local_circuit),
@@ -130,3 +145,18 @@ class TestPairSubcircuit:
                 len(union),
             )
             assert hs_distance(u, unitary_of(pair)) < 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_pair_unitary_equals_apply_unitary_chain(self, n):
+        """Bit for bit the single-gate reference: one ``apply_unitary`` call per block."""
+        rng = np.random.default_rng(40 + n)
+        for _ in range(20):
+            pos_first = tuple(int(q) for q in rng.permutation(n)[: rng.integers(1, n + 1)])
+            pos_second = tuple(int(q) for q in rng.permutation(n)[: rng.integers(1, n + 1)])
+            u_first = random_unitary(rng, len(pos_first))
+            u_second = random_unitary(rng, len(pos_second))
+            chain = np.eye(1 << n, dtype=complex)
+            chain = apply_unitary(chain, u_first, tuple(reversed(pos_first)), n)
+            chain = apply_unitary(chain, u_second, tuple(reversed(pos_second)), n)
+            got = pair_unitary(u_first, u_second, pos_first, pos_second, n)
+            assert got.tobytes() == chain.tobytes()

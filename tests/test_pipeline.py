@@ -59,6 +59,19 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(circuits=[], configs=["bogus"])
 
+    @pytest.mark.parametrize("bad", [
+        {"c": 0}, {"epsilon": 0.0}, {"w": 2.0}, {"q_v": 5.0}, {"max_iterations": -1},
+        {"initial_temperature": 0.0},
+    ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+    def test_rejects_bad_stage_setting(self, bad):
+        (key,) = bad
+        with pytest.raises(ValueError, match=f"^{key} must"):
+            RunConfig(circuits=[], **bad)
+
+    def test_from_dict_rejects_unknown_keys(self):
+        with pytest.raises(ValueError, match="bogus, exact_ideal"):
+            RunConfig.from_dict({"circuits": [], "exact_ideal": True, "bogus": 1})
+
     def test_from_dict_builds_noise(self):
         cfg = RunConfig.from_dict(
             {"circuits": ["a.qasm"], "noise": {"p1": 0.002, "p2": 0.02}})
@@ -199,6 +212,21 @@ class TestCli:
         ]) == 0
         assert (out / "report.json").exists()
         assert "baseline tvd" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"bogus": 1}, "unknown RunConfig keys: bogus"),
+        ({"c": 0}, "c must be at least 1"),
+    ])
+    def test_bad_config_file_is_input_error(self, tiny_qasm, tmp_path, capsys,
+                                            overrides, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(overrides))
+        assert main([
+            "run", "--circuit", str(tiny_qasm), "--config", str(config),
+            "--out", str(tmp_path / "out"),
+        ]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_input_error_exit_code(self, tmp_path, capsys):
         assert main(["partition", "--circuit", str(tmp_path / "none.qasm")]) == 1

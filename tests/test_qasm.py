@@ -10,7 +10,6 @@ from peepopt.qasm import (
     QasmRangeError,
     UnsupportedGateError,
     emit_qasm,
-    parse_document,
     parse_qasm,
 )
 from conftest import FIXTURE_FILES, random_circuit
@@ -51,17 +50,20 @@ class TestParse:
         )
         assert circ.gates == (cx(0, 1),)
 
-    def test_measure_recorded_and_stripped(self):
-        doc = parse_document(
+    def test_measure_checked_and_stripped(self):
+        circ = parse_qasm(
             HEADER + "qreg q[2]; creg c[2]; cx q[0],q[1]; measure q[0] -> c[0];"
             " measure q[1] -> c[1];"
         )
-        assert len(doc.circuit) == 1
-        assert doc.measurements == [(0, "c", 0), (1, "c", 1)]
+        assert circ == Circuit(2, (cx(0, 1),))
+        with pytest.raises(QasmRangeError, match="qubit index 2"):
+            parse_qasm(HEADER + "qreg q[2]; creg c[2]; measure q[2] -> c[0];")
 
     def test_full_register_measure(self):
-        doc = parse_document(HEADER + "qreg q[3]; creg c[3]; measure q -> c;")
-        assert doc.measurements == [(0, "c", 0), (1, "c", 1), (2, "c", 2)]
+        circ = parse_qasm(HEADER + "qreg q[3]; creg c[3]; rz(0.5) q[2]; measure q -> c;")
+        assert circ == Circuit(3, (rz(0.5, 2),))
+        with pytest.raises(QasmParseError, match="classical register 'd'"):
+            parse_qasm(HEADER + "qreg q[3]; creg c[3]; measure q -> d;")
 
 
 class TestDiagnostics:

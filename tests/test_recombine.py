@@ -276,6 +276,17 @@ class TestObjective:
         with pytest.raises(ValueError):
             AnnealerConfig(q_v=3.5)
 
+    @pytest.mark.parametrize("max_iterations", [0, -5])
+    def test_annealer_rejects_non_positive_iterations(self, max_iterations):
+        with pytest.raises(ValueError, match="max_iterations"):
+            AnnealerConfig(max_iterations=max_iterations)
+
+    def test_default_iterations_scale_with_blocks(self):
+        calls = []
+        dual_anneal(lambda s: calls.append(s) or 0.0, (3, 3), AnnealerConfig(seed=0))
+        # One start evaluation, then 1000 * p steps of 2p visits each.
+        assert len(calls) == 1 + (1000 * 2) * (2 * 2)
+
 
 class TestAnnealerPrimitives:
     def test_decode_floor_and_clamp(self):

@@ -4,6 +4,7 @@ Partition a circuit into small blocks, generate approximate replacements
 for each block, and recombine one choice per block into an ensemble of
 noise-resilient result circuits.
 """
+from .anneal import AnnealerConfig, dual_anneal, population_anneal
 from .circuits import Circuit, Gate, GateKind, cnot_count, compose, hs_distance, unitary_of
 from .expand import ApproximationSet, Candidate, OptBudget, ansatz, expand_all, expand_block, optimize_params
 from .metrics import jsd, tvd
@@ -25,15 +26,12 @@ from .pipeline import RunConfig, cnot_reduction, ensemble_distribution, run_pipe
 from .qasm import QasmError, UnsupportedGateError, emit_qasm, parse_qasm
 from .recombine import (
     CONFIGURATIONS,
-    AnnealerConfig,
     Mode,
     ObjectiveConfig,
     circuit_error_basic,
     circuit_error_cascade,
     differentiation,
-    dual_anneal,
     objective,
-    population_anneal,
     reassemble,
     recombine,
     recombine_iterative,

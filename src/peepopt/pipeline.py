@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import json
 import time
+import types
+import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -102,7 +104,27 @@ class RunConfig:
             raise ValueError(f"unknown RunConfig keys: {', '.join(unknown)}")
         if "noise" in data and isinstance(data["noise"], dict):
             data["noise"] = NoiseModel.from_dict(data["noise"])
+        hints = typing.get_type_hints(cls)
+        for key, value in data.items():
+            if not _has_type(value, hints[key]):
+                name = hints[key].__name__ if isinstance(hints[key], type) else hints[key]
+                raise ValueError(f"RunConfig key '{key}' must be {name}, got {value!r}")
         return cls(**data)
+
+
+def _has_type(value, hint) -> bool:
+    """Whether a value loaded from JSON fits a field's annotation; an int
+    passes for a float, a bool passes only for a bool."""
+    if isinstance(hint, types.UnionType):
+        return any(_has_type(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_has_type(v, item) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
 
 
 def ideal_distribution(circuit: Circuit) -> np.ndarray:

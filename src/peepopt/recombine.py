@@ -1,4 +1,4 @@
-"""Candidate selection: objective configurations and annealing engines.
+"""Candidate selection: objective configurations and engines.
 
 A solution assigns one candidate index to every partition block.  Solutions
 are scored by a three-part objective (approximation error, complexity or
@@ -6,29 +6,31 @@ noisy-fidelity reduction, differentiation from already-selected circuits)
 that reads distance tables built once per objective.  The objective that
 ``make_objective`` returns also keeps its values for the current set of
 already-selected solutions, so a solution the annealer revisits is scored
-once while that set stays the same.  One generalized simulated-annealing
-loop explores the choice space: the population engine runs it with all c
-result circuits as members, updated together in each timestep; the
-iterative engine runs it once per result circuit with a single member.
+once while that set stays the same.
+
+The population engine anneals all c result circuits together (see
+``anneal``).  The iterative engine picks one result circuit per step.  On
+a space of at most ``EXACT_SPACE_LIMIT`` solutions it scores every
+solution at once (``EnumeratedObjective``, equal to the objective bit for
+bit) and takes the minimum; on a larger space it anneals with a single
+member.
 """
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 import operator
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from .anneal import AnnealerConfig, Solution, dual_anneal, population_anneal
 from .circuits import Circuit, compose, hs_distance
 from .expand import ApproximationSet
 from .partition import PartitionGraph, pair_embedding, pair_unitary
-
-Solution = tuple  # choice vector: candidate index per block
 
 TERM_MEMO_SIZE = 1 << 12  # entries kept by each memo of the objective (under 1 MB)
 
@@ -60,25 +62,6 @@ class ObjectiveConfig:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if not 0.0 <= self.w <= 1.0:
             raise ValueError(f"w must be in [0, 1], got {self.w}")
-
-
-@dataclass(frozen=True)
-class AnnealerConfig:
-    max_iterations: int | None = None  # defaults to 1000 * num_blocks
-    initial_temperature: float = 5230.0
-    q_v: float = 2.62
-    q_a: float = -5.0
-    restart_temp_ratio: float = 2e-5
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 1.0 < self.q_v < 3.0:
-            raise ValueError(f"q_v must be in (1, 3), got {self.q_v}")
-        if self.initial_temperature <= 0:
-            raise ValueError(
-                f"initial_temperature must be positive, got {self.initial_temperature}")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
 
 
 def pair_unitary_table(
@@ -312,270 +295,144 @@ def make_objective(
     return f
 
 
-# --- generalized simulated annealing -----------------------------------------
+# --- exact selection over an enumerated space --------------------------------
 
-_TAIL_LIMIT = 1e8
-
-
-class _Visitor:
-    """Tsallis visiting-distribution step generator (distorted Cauchy-Lorentz)."""
-
-    def __init__(self, q_v: float):
-        self.q_v = q_v
-        qv = q_v
-        self._factor2 = math.exp((4.0 - qv) * math.log(qv - 1.0))
-        self._factor3 = math.exp((2.0 - qv) * math.log(2.0) / (qv - 1.0))
-        factor5 = 1.0 / (qv - 1.0) - 0.5
-        d1 = 2.0 - factor5
-        self._factor6 = (
-            math.pi * (1.0 - factor5)
-            / math.sin(math.pi * (1.0 - factor5))
-            / math.exp(math.lgamma(d1))
-        )
-        self._sigma_temperature = math.nan
-        self._sigma_value = math.nan
-
-    def _sigma(self, temperature: float) -> float:
-        """Scale of the visiting distribution; every visit of one timestep
-        shares the temperature, so the last value is kept."""
-        if temperature != self._sigma_temperature:
-            qv = self.q_v
-            factor1 = math.exp(math.log(temperature) / (qv - 1.0))
-            factor4 = (
-                math.sqrt(math.pi) * factor1 * self._factor2
-                / (self._factor3 * (3.0 - qv))
-            )
-            self._sigma_value = math.exp(
-                -(qv - 1.0) * math.log(self._factor6 / factor4) / (3.0 - qv)
-            )
-            self._sigma_temperature = temperature
-        return self._sigma_value
-
-    def _deviate(self, rng, temperature: float, size: int) -> list[float]:
-        """``size`` steps.  ``log`` and ``exp`` stay numpy's: ``math``'s
-        round differently on some inputs, which would move the walk."""
-        qv = self.q_v
-        # One draw of 2 * size values is the same stream as two draws of
-        # size each: x's normals then y's, the high tails' uniforms then
-        # the low tails'.
-        normals = rng.standard_normal(2 * size)
-        x = normals[:size] * self._sigma(temperature)
-        den = np.exp((qv - 1.0) * np.log(np.abs(normals[size:])) / (3.0 - qv))
-        visit = (x / den).tolist()
-        tails = rng.random(2 * size)
-        if max(visit) > _TAIL_LIMIT or min(visit) < -_TAIL_LIMIT:
-            for i, v in enumerate(visit):
-                if v > _TAIL_LIMIT:
-                    visit[i] = _TAIL_LIMIT * float(tails[i])
-                elif v < -_TAIL_LIMIT:
-                    visit[i] = -_TAIL_LIMIT * float(tails[size + i])
-        return visit
-
-    def _deviate_one(self, rng, temperature: float) -> float:
-        """``_deviate(rng, temperature, 1)[0]`` without one-element arrays:
-        the same draws and the same value, since numpy's log and exp of a
-        scalar run the array loop and the rest is correctly rounded
-        arithmetic."""
-        qv = self.q_v
-        x, y = rng.standard_normal(2).tolist()
-        den = float(np.exp((qv - 1.0) * float(np.log(abs(y))) / (3.0 - qv)))
-        visit = x * self._sigma(temperature) / den
-        high, low = rng.random(2).tolist()
-        if visit > _TAIL_LIMIT:
-            visit = _TAIL_LIMIT * high
-        if visit < -_TAIL_LIMIT:
-            visit = -_TAIL_LIMIT * low
-        return visit
+EXACT_SPACE_LIMIT = 1 << 16  # largest choice space the iterative engine enumerates
 
 
-def _temperature(t0: float, step: int, q_v: float) -> float:
-    s = float(step) + 2.0
-    return t0 * (2.0 ** (q_v - 1.0) - 1.0) / (s ** (q_v - 1.0) - 1.0)
+def _broadcast(table, axes: tuple[int, ...], counts: Sequence[int]) -> np.ndarray:
+    """``table``, indexed by the choices of the ascending blocks ``axes``, as
+    a read-only view over the whole space whose C order is the flat
+    ``itertools.product`` order of the solutions."""
+    split, start = [], 0
+    for b in axes:
+        split += [math.prod(counts[start:b]), counts[b]]
+        start = b + 1
+    split.append(math.prod(counts[start:]))
+    shape = [n for b in axes for n in (counts[b], 1)]
+    return np.broadcast_to(np.reshape(table, shape), split)
 
 
-def _accept(e_new: float, e_cur: float, temperature_step: float, q_a: float,
-            rng) -> bool:
-    if e_new <= e_cur:
-        return True
-    pqa = 1.0 - (1.0 - q_a) * (e_new - e_cur) / temperature_step
-    if pqa <= 0.0:
-        return False
-    return rng.random() <= math.exp(math.log(pqa) / (1.0 - q_a))
+def _add_over_space(acc: np.ndarray, table, axes: tuple[int, ...],
+                    counts: Sequence[int]) -> None:
+    """Add ``table``'s value for each solution's choices at ``axes`` to the
+    flat per-solution array ``acc``, in place."""
+    values = _broadcast(table, axes, counts)
+    view = acc.reshape(values.shape)
+    np.add(view, values, out=view)
 
 
-def decode(x: Sequence[float], bounds: Sequence[int]) -> Solution:
-    """Continuous vector -> choice indices by floor, clamped into range."""
-    # Built from a list: tuple() of an iterator allocates ten slots and
-    # shrinks them, and over many calls the shrunk tuples fill CPython's
-    # per-size free lists (about 0.5 MB in a recombine run).
-    sol = tuple([*map(math.floor, x)])
-    if any(map(operator.ge, sol, bounds)):
-        return tuple(min(c, a - 1) for c, a in zip(sol, bounds))
-    return sol
+def _pairwise_sum(term: Callable[[int], np.ndarray], lo: int, n: int) -> np.ndarray:
+    """Sum of ``term(lo) ... term(lo + n - 1)`` in the order NumPy's pairwise
+    summation adds the elements of a float64 vector: 0.0 plus this sum is
+    ``np.sum`` of the vector, bit for bit."""
+    if n < 8:
+        total = 0.0
+        for b in range(lo, lo + n):
+            total = total + term(b)
+        return total
+    if n <= 128:
+        r = [term(b) for b in range(lo, lo + 8)]
+        i = 8
+        while i < n - n % 8:
+            r = [acc + term(lo + i + j) for j, acc in enumerate(r)]
+            i += 8
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for b in range(lo + i, lo + n):
+            total += term(b)
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(term, lo, half) + _pairwise_sum(term, lo + half, n - half)
 
 
-def _wrap(x: Iterable[float], span: list[float]) -> list[float]:
-    """Each coordinate modulo its span, as ``np.mod``: Python's float ``%``
-    rounds the same way for a positive span, turns -0.0 into 0.0 and, like
-    ``np.mod``, takes a tiny negative value up to exactly the span."""
-    return [v % s for v, s in zip(x, span)]
+class EnumeratedObjective:
+    """The objective at every solution of a choice space, against a growing
+    list of selected results.
 
-
-def _splice(x: list[float], sol: Solution, k: int, step: float,
-            span: list[float], bounds: Sequence[int]) -> tuple[list[float], Solution]:
-    """Point and solution after moving coordinate k of ``x`` by ``step``:
-    the same as wrapping the whole moved point and decoding it, without
-    decoding the p - 1 coordinates that did not move."""
-    v = (x[k] + step) % span[k]
-    if any(map(operator.eq, x, span)):
-        # A coordinate that wrapped up to exactly its span decodes to
-        # a - 1, but wrapping it again sends it to 0.
-        x_new = _wrap(x, span)
-        x_new[k] = v
-        return x_new, decode(x_new, bounds)
-    x_new = x.copy()
-    x_new[k] = v
-    return x_new, sol[:k] + (min(math.floor(v), bounds[k] - 1),) + sol[k + 1 :]
-
-
-def _box(bounds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper corners of the continuous search box."""
-    if len(bounds) < 1:
-        raise ValueError("need at least one block")
-    return np.zeros(len(bounds)), np.array(bounds, dtype=float)
-
-
-@dataclass(slots=True)
-class _Member:
-    """One annealing walk: its point, the point's solution and value, and
-    the best point seen with its solution and value."""
-
-    x: list[float]
-    sol: Solution
-    e_cur: float
-    rng: np.random.Generator
-    best_x: list[float]
-    best_sol: Solution
-    best_e: float
-
-
-def _anneal(
-    f: Callable[[Solution, list[Solution]], float],
-    bounds: Sequence[int],
-    cfg: AnnealerConfig,
-    starts: list[tuple[np.ndarray, np.random.Generator]],
-) -> list[tuple[Solution, float]]:
-    """The annealing loop shared by both engines: one member per start
-    point, each visiting with its own generator.
-
-    Every timestep updates all members; each evaluation receives the other
-    members' current decoded solutions (never its own).  A visit moves all
-    p coordinates or, in the second half of a member's 2p visits, one.
-    Reannealing restarts every member from its saved best.  Returns the
-    per-member best solutions in member order.
+    Solutions are numbered in ``itertools.product`` order.  The
+    per-solution terms are arrays over the whole space, built once from
+    per-block vectors; each add runs in the order ``objective`` runs it, so
+    ``values()[n]`` equals ``objective(solution n, results, ...)`` bit for
+    bit.  Each selected result adds its differentiation hits, one
+    gather-add per block, to a running count.
     """
-    span = [float(a) for a in bounds]
-    p = len(bounds)
-    max_iterations = 1000 * p if cfg.max_iterations is None else cfg.max_iterations
-    visitor = _Visitor(cfg.q_v)
 
-    members: list[_Member] = []
-    snapshot = [decode(x0, bounds) for x0, _ in starts]
-    for idx, (x0, rng) in enumerate(starts):
-        e0 = f(snapshot[idx], snapshot[:idx] + snapshot[idx + 1 :])
-        x = x0.tolist()
-        members.append(_Member(x, snapshot[idx], e0, rng, x, snapshot[idx], e0))
+    def __init__(self, approx: ApproximationSet, graph: PartitionGraph | None,
+                 cfg: ObjectiveConfig):
+        if cfg.mode is Mode.CASCADE and graph is None:
+            raise ValueError("cascade mode requires a partition graph")
+        self.counts = counts = approx.counts()
+        self.cfg = cfg
+        size = math.prod(counts)
+        tables = ObjectiveTables.build(approx, graph if cfg.mode is Mode.CASCADE else None)
+        self.pair = [np.array(t) for t in tables.pair_distances]
+        hs = [[c.hs_distance for c in cands] for cands in approx.candidates]
+        self.basic = np.zeros(size)
+        for b, v in enumerate(hs):
+            _add_over_space(self.basic, v, (b,), counts)
+        if cfg.mode is Mode.BASIC_ERR:
+            scores = [[c.fidelity_score for c in cands] for cands in approx.candidates]
+            if any(s is None for row in scores for s in row):
+                raise ValueError("fidelity scores not cached; run score_candidates first")
+            g = 0.0 + _pairwise_sum(
+                lambda b: _broadcast(scores[b], (b,), counts).reshape(-1), 0, len(counts))
+            g /= len(counts)
+            self.penalized = None
+        else:
+            cnots = np.zeros(size)  # whole numbers, so the sum is exact
+            for b, cands in enumerate(approx.candidates):
+                _add_over_space(cnots, [c.cnots for c in cands], (b,), counts)
+            orig = approx.original_cnots()
+            g = cnots / orig if orig else np.zeros(size)
+            err = self.basic
+            if cfg.mode is Mode.CASCADE:
+                err = np.zeros(size)
+                for b, incident in enumerate(tables.incident):
+                    if not incident:
+                        _add_over_space(err, hs[b], (b,), counts)
+                        continue
+                    num = np.zeros(size)
+                    den = 0.0
+                    for edge, w in incident:
+                        _add_over_space(num, w * np.array(tables.edge_distances[edge]),
+                                        edge, counts)
+                        den += w
+                    num /= den
+                    err += num
+            self.penalized = err > cfg.epsilon
+            self.penalty = (QUEST_THRESHOLD_PENALTY if cfg.mode is Mode.QUEST
+                            else err - cfg.epsilon + GRADIENT_PENALTY_BASE)
+        g *= cfg.w
+        self.weighted = g
+        self.close = np.zeros(size)  # counts of results each solution is close to
+        self.results: list[Solution] = []
+        self.indices: list[int] = []
 
-    since_restart = 0
-    for it in range(max_iterations):
-        temperature = _temperature(cfg.initial_temperature, since_restart, cfg.q_v)
-        if temperature < cfg.initial_temperature * cfg.restart_temp_ratio:
-            for m in members:
-                m.x, m.sol, m.e_cur = m.best_x, m.best_sol, m.best_e
-            since_restart = 0
-            temperature = _temperature(cfg.initial_temperature, 0, cfg.q_v)
-        t_step = temperature / float(it + 1)
-        snapshot = [m.sol for m in members]
-        for idx, m in enumerate(members):
-            others = snapshot[:idx] + snapshot[idx + 1 :]
-            if len(members) > 1:
-                # Re-score the current point: the landscape moves with the
-                # others.  A lone member's others never change.
-                m.e_cur = f(m.sol, others)
-                if m.e_cur < m.best_e:
-                    m.best_x, m.best_sol, m.best_e = m.x, m.sol, m.e_cur
-            for j in range(2 * p):
-                if j < p:
-                    step = visitor._deviate(m.rng, temperature, p)
-                    x = _wrap(map(operator.add, m.x, step), span)
-                    sol = decode(x, bounds)
-                else:
-                    step = visitor._deviate_one(m.rng, temperature)
-                    x, sol = _splice(m.x, m.sol, j - p, step, span, bounds)
-                e_new = f(sol, others)
-                if e_new < m.best_e:
-                    m.best_x, m.best_sol, m.best_e = x, sol, e_new
-                if _accept(e_new, m.e_cur, t_step, cfg.q_a, m.rng):
-                    m.x, m.sol, m.e_cur = x, sol, e_new
-        since_restart += 1
-    return [(m.best_sol, m.best_e) for m in members]
+    def values(self) -> np.ndarray:
+        """Objective value of every solution against the selected results."""
+        value = self.close / max(len(self.results), 1)
+        value *= 1.0 - self.cfg.w
+        value += self.weighted
+        if self.penalized is not None:
+            np.copyto(value, self.penalty, where=self.penalized)
+        if self.indices and not self.cfg.allow_duplicates:
+            value[self.indices] = DUPLICATE_PENALTY
+        return value
 
-
-def dual_anneal(
-    f: Callable[[Solution], float],
-    bounds: Sequence[int],
-    cfg: AnnealerConfig,
-) -> tuple[Solution, float]:
-    """Generalized simulated annealing over the discrete choice space.
-
-    Operates on a continuous vector in the product of [0, a_b) intervals,
-    decoded by floor; reanneals from the best point when the temperature
-    floor is reached.  This is the shared loop with a single member whose
-    generator also draws its start.  Deterministic per seed.
-    """
-    lower, upper = _box(bounds)
-    rng = np.random.default_rng(cfg.seed)
-    x0 = rng.uniform(lower, upper)
-    return _anneal(lambda s, others: f(s), bounds, cfg, [(x0, rng)])[0]
-
-
-def _member_rng(seed: int, x0: np.ndarray) -> np.random.Generator:
-    # Stream travels with the member's initial content, not its slot, so
-    # permuting the initial population permutes the outputs identically.
-    digest = hashlib.sha256(np.asarray(x0, dtype=float).tobytes()).digest()
-    return np.random.default_rng([int(seed), int.from_bytes(digest[:8], "big")])
-
-
-def population_anneal(
-    f: Callable[[Solution, list[Solution]], float],
-    bounds: Sequence[int],
-    cfg: AnnealerConfig,
-    c: int,
-    initial: list[np.ndarray] | None = None,
-) -> list[tuple[Solution, float]]:
-    """Anneal c solutions simultaneously in the shared loop; each member's
-    generator is seeded from its initial point.  Every coordinate b of an
-    ``initial`` point must lie in [0, bounds[b])."""
-    if c < 1:
-        raise ValueError(f"population size must be positive, got {c}")
-    lower, upper = _box(bounds)
-    if initial is None:
-        setup_rng = np.random.default_rng(cfg.seed)
-        initial = [setup_rng.uniform(lower, upper) for _ in range(c)]
-    if len(initial) != c:
-        raise ValueError(f"initial population has {len(initial)} members, expected {c}")
-    starts = []
-    for i, x0 in enumerate(initial):
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (len(bounds),):
-            raise ValueError(f"initial member {i} has shape {x0.shape}, "
-                             f"expected ({len(bounds)},)")
-        for b, (v, a) in enumerate(zip(x0.tolist(), bounds)):
-            if not 0.0 <= v < a:
-                raise ValueError(f"initial member {i} has {v} for block {b}, "
-                                 f"outside [0, {a})")
-        starts.append((x0, _member_rng(cfg.seed, x0)))
-    return _anneal(f, bounds, cfg, starts)
+    def select(self, index: int) -> Solution:
+        """Add solution number ``index`` to the results and return it."""
+        choices, rest = [], index
+        for a in reversed(self.counts):  # np.unravel_index stops at 64 blocks
+            rest, choice = divmod(rest, a)
+            choices.append(choice)
+        sol = tuple(reversed(choices))
+        d = np.zeros(len(self.close))
+        for b, (table, choice) in enumerate(zip(self.pair, sol)):
+            _add_over_space(d, table[:, choice], (b,), self.counts)
+        self.close[(d <= self.basic) | (d <= self.basic[index])] += 1.0
+        self.results.append(sol)
+        self.indices.append(index)
+        return sol
 
 
 # --- engines ------------------------------------------------------------------
@@ -590,10 +447,25 @@ def recombine_iterative(
     ann_cfg: AnnealerConfig,
     c: int,
 ) -> list[Solution]:
-    """One annealing run per result circuit, differentiating against the
-    results selected so far; stops early once only penalized solutions remain."""
+    """One result circuit per step, differentiating against the results
+    selected so far; stops early once only penalized solutions remain.
+
+    A space of at most ``EXACT_SPACE_LIMIT`` solutions is scored whole at
+    every step and the first minimum in ``itertools.product`` order is
+    taken, so ``ann_cfg`` is not used.  A larger space gets one annealing
+    run per result.
+    """
     if c < 1:
         raise ValueError(f"need at least one result circuit, got {c}")
+    if math.prod(approx.counts()) <= EXACT_SPACE_LIMIT:
+        space = EnumeratedObjective(approx, graph, obj_cfg)
+        for _ in range(c):
+            values = space.values()
+            best = int(np.argmin(values))
+            if values[best] > EARLY_TERMINATION_VALUE:
+                break
+            space.select(best)
+        return space.results
     f = make_objective(approx, graph, obj_cfg)
     results: list[Solution] = []
     for r in range(c):

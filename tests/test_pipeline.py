@@ -1,5 +1,6 @@
 """Unit tests for the pipeline driver and the command-line interface."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -61,7 +62,7 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("bad", [
         {"c": 0}, {"epsilon": 0.0}, {"w": 2.0}, {"q_v": 5.0}, {"max_iterations": -1},
-        {"initial_temperature": 0.0},
+        {"initial_temperature": 0.0}, {"q_a": 1.0}, {"q_a": 2.5},
     ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
     def test_rejects_bad_stage_setting(self, bad):
         (key,) = bad
@@ -71,6 +72,26 @@ class TestRunConfig:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="bogus, exact_ideal"):
             RunConfig.from_dict({"circuits": [], "exact_ideal": True, "bogus": 1})
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"k": "2"}, "'k' must be int, got '2'"),
+        ({"k": 2.0}, "'k' must be int"),
+        ({"c": True}, "'c' must be int"),
+        ({"noise": 5}, "'noise' must be NoiseModel, got 5"),
+        ({"circuits": "a.qasm"}, "'circuits' must be list[str]"),
+        ({"configs": ["basic", 3]}, "'configs' must be list[str]"),
+        ({"epsilon": "0.1"}, "'epsilon' must be float"),
+        ({"max_iterations": 1.5}, "'max_iterations' must be int | None"),
+    ], ids=lambda v: str(v))
+    def test_from_dict_rejects_wrong_types(self, bad, message):
+        data = {"circuits": ["a.qasm"], **bad}
+        with pytest.raises(ValueError, match=re.escape(f"RunConfig key {message}")):
+            RunConfig.from_dict(data)
+
+    def test_from_dict_accepts_json_numbers_and_nulls(self):
+        cfg = RunConfig.from_dict({"circuits": ["a.qasm"], "epsilon": 1, "w": 0,
+                                   "max_iterations": None, "out_dir": None})
+        assert cfg.epsilon == 1 and cfg.max_iterations is None
 
     def test_from_dict_builds_noise(self):
         cfg = RunConfig.from_dict(
@@ -216,6 +237,9 @@ class TestCli:
     @pytest.mark.parametrize("overrides, message", [
         ({"bogus": 1}, "unknown RunConfig keys: bogus"),
         ({"c": 0}, "c must be at least 1"),
+        ({"k": "2"}, "RunConfig key 'k' must be int, got '2'"),
+        ({"noise": 5}, "RunConfig key 'noise' must be NoiseModel, got 5"),
+        ({"q_a": 1.0}, "q_a must be below 1, got 1.0"),
     ])
     def test_bad_config_file_is_input_error(self, tiny_qasm, tmp_path, capsys,
                                             overrides, message):
@@ -225,7 +249,7 @@ class TestCli:
             "run", "--circuit", str(tiny_qasm), "--config", str(config),
             "--out", str(tmp_path / "out"),
         ]) == 1
-        assert message in capsys.readouterr().err
+        assert f"error: {message}" in capsys.readouterr().err.splitlines()[0]
         assert not (tmp_path / "out").exists()
 
     def test_input_error_exit_code(self, tmp_path, capsys):

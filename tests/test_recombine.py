@@ -1,5 +1,7 @@
-"""Unit tests for the objective, its error metrics, and the annealers."""
+"""Unit tests for the objective, its error metrics, the annealers and the
+exact selection."""
 import importlib
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -9,32 +11,36 @@ import pytest
 from peepopt.circuits import Circuit, cx, rx, rz, unitary_of
 from peepopt.expand import ApproximationSet, Candidate, expand_all, OptBudget
 from peepopt.partition import PartitionGraph, build_partition_graph, scan_partition
-from peepopt.recombine import (
-    CONFIGURATIONS,
-    DUPLICATE_PENALTY,
-    QUEST_THRESHOLD_PENALTY,
+from peepopt.anneal import (
     AnnealerConfig,
-    Mode,
-    ObjectiveConfig,
-    circuit_error_basic,
-    circuit_error_cascade,
-    decode,
-    differentiation,
-    dual_anneal,
-    make_objective,
-    objective,
-    population_anneal,
-    reassemble,
-    recombine,
-    recombine_iterative,
-    recombine_population,
-)
-from peepopt.recombine import (
-    ObjectiveTables,
     _member_rng,
     _splice,
     _Visitor,
     _wrap,
+    decode,
+    dual_anneal,
+    population_anneal,
+)
+from peepopt.recombine import (
+    CONFIGURATIONS,
+    DUPLICATE_PENALTY,
+    EARLY_TERMINATION_VALUE,
+    GRADIENT_PENALTY_BASE,
+    QUEST_THRESHOLD_PENALTY,
+    EnumeratedObjective,
+    Mode,
+    ObjectiveConfig,
+    ObjectiveTables,
+    _pairwise_sum,
+    circuit_error_basic,
+    circuit_error_cascade,
+    differentiation,
+    make_objective,
+    objective,
+    reassemble,
+    recombine,
+    recombine_iterative,
+    recombine_population,
 )
 
 recombine_module = importlib.import_module("peepopt.recombine")
@@ -275,6 +281,11 @@ class TestObjective:
             ObjectiveConfig(w=1.5)
         with pytest.raises(ValueError):
             AnnealerConfig(q_v=3.5)
+
+    @pytest.mark.parametrize("q_a", [1.0, 1.5, math.nan])
+    def test_annealer_rejects_q_a_from_one(self, q_a):
+        with pytest.raises(ValueError, match="q_a must be below 1"):
+            AnnealerConfig(q_a=q_a)
 
     @pytest.mark.parametrize("max_iterations", [0, -5])
     def test_annealer_rejects_non_positive_iterations(self, max_iterations):
@@ -633,3 +644,171 @@ class TestAnnealerMatchesReference:
             want = _ref_anneal(make_f(want_calls), bounds, cfg, starts)
             assert got == want, kw
             assert got_calls == want_calls, kw
+
+
+# --- exact selection over an enumerated space ---------------------------------
+
+def _expanded(name, k, seed):
+    """The golden tests' fits: one restart of 40 iterations, scored."""
+    from peepopt.expand import score_candidates
+    from peepopt.noise import NoiseModel
+    from peepopt.qasm import parse_qasm
+    from conftest import BENCHMARKS
+    circ = parse_qasm((BENCHMARKS / f"{name}.qasm").read_text())
+    blocks = scan_partition(circ, k)
+    approx = expand_all(blocks, circ.num_qubits, 0.3, seed, OptBudget(1, 40))
+    score_candidates(approx, NoiseModel(p1=0.001, p2=0.01))
+    return approx, build_partition_graph(blocks)
+
+
+REAL_SETS = {"xy_4_k2": ("xy_4", 2, 3), "qft_5_k3": ("qft_5", 3, 5)}
+
+
+def _branch(value):
+    if value == DUPLICATE_PENALTY:
+        return "duplicate"
+    if value == QUEST_THRESHOLD_PENALTY:
+        return "threshold"
+    return "gradient" if value >= GRADIENT_PENALTY_BASE else "main"
+
+
+def _check_every_step(approx, graph, cfg, c):
+    """Select c results exactly, holding every value of every step to
+    objective(); returns the branches seen."""
+    space = EnumeratedObjective(approx, graph, cfg)
+    tables = ObjectiveTables.build(approx, graph if cfg.mode is Mode.CASCADE else None)
+    sols = list(itertools.product(*map(range, approx.counts())))
+    branches = set()
+    for _ in range(c):
+        values = space.values()
+        want = [objective(s, space.results, approx, graph, cfg, tables) for s in sols]
+        assert values.tolist() == want
+        assert values.tobytes() == np.array(want).tobytes()  # signed zeros too
+        branches.update(map(_branch, want))
+        space.select(int(np.argmin(values)))
+    return branches
+
+
+def _annealed_iterative(approx, graph, obj_cfg, ann_cfg, c):
+    """The iterative engine as it anneals, on the reference loop."""
+    f = make_objective(approx, graph, obj_cfg)
+    bounds = approx.counts()
+    results = []
+    for r in range(c):
+        rng = np.random.default_rng(np.random.SeedSequence([ann_cfg.seed, r]))
+        x0 = rng.uniform(np.zeros(len(bounds)), np.array(bounds, dtype=float))
+        sol, value = _ref_anneal(lambda s, others: f(s, results), bounds, ann_cfg,
+                                 [(x0, rng)])[0]
+        if value > EARLY_TERMINATION_VALUE:
+            break
+        results.append(sol)
+    return results
+
+
+class TestExactSelection:
+    @pytest.mark.parametrize("name", sorted(REAL_SETS))
+    def test_values_equal_objective_on_real_fits(self, name):
+        approx, graph = _expanded(*REAL_SETS[name])
+        branches = set()
+        for mode in Mode:
+            branches |= _check_every_step(approx, graph, ObjectiveConfig(mode=mode), 4)
+        assert branches == {"duplicate", "threshold", "gradient", "main"}
+
+    def test_values_equal_objective_in_every_branch(self):
+        rx3 = unitary_of(Circuit(1, (rx(0.3, 0),)))
+        specs = [
+            [(0.0, 2, 0.3, np.eye(2)), (0.03, 1, 0.1, X), (0.08, 0, 0.05, rx3)],
+            [(0.0, 1, 0.2, np.eye(2)), (0.05, 0, 0.4, rx3)],
+            [(0.0, 1, 0.25, np.eye(2)), (0.01, 1, 0.15, X), (0.2, 0, 0.01, np.eye(2))],
+        ]
+        approx = synthetic_set(specs)
+        graph = build_partition_graph(approx.blocks)
+        for mode in Mode:
+            branches = _check_every_step(approx, graph, ObjectiveConfig(mode=mode), 6)
+            want = {"duplicate", "main"} | {
+                Mode.QUEST: {"threshold"}, Mode.BASIC: {"gradient"},
+                Mode.CASCADE: {"gradient"}, Mode.BASIC_ERR: set()}[mode]
+            assert branches == want, mode
+
+    def test_many_blocks(self):
+        # More blocks than NumPy has dimensions, and enough for each branch of
+        # the pairwise sum behind the mean fidelity score.
+        rng = np.random.default_rng(8)
+        def small():  # of mixed magnitudes, so that the order of adds shows
+            return float(rng.uniform(0, 0.01) * 10.0 ** -int(rng.integers(4)))
+
+        for p in (9, 70, 140):
+            specs = [[(small(), 1, float(rng.uniform()), np.eye(2))] for _ in range(p)]
+            for b in rng.choice(p, 3, replace=False):
+                specs[b].append((small(), 0, float(rng.uniform()), X))
+            approx = synthetic_set(specs)
+            graph = build_partition_graph(approx.blocks)
+            for mode in Mode:
+                _check_every_step(approx, graph, ObjectiveConfig(mode=mode), 3)
+
+    def test_distance_equal_to_the_error_counts_as_close(self):
+        # Each candidate's error is its distance to candidate 0, so every
+        # solution lies exactly at its own error from the first result.
+        from peepopt.circuits import hs_distance
+        us = [np.eye(2)] + [unitary_of(Circuit(1, (rx(t, 0),))) for t in (0.1, 0.25)]
+        approx = synthetic_set([[(hs_distance(us[0], u), 0, None, u) for u in us]] * 3)
+        cfg = ObjectiveConfig(epsilon=1.0, mode=Mode.BASIC)
+        space = EnumeratedObjective(approx, None, cfg)
+        assert space.select(int(np.argmin(space.values()))) == (0, 0, 0)
+        values = space.values()
+        assert values[0] == DUPLICATE_PENALTY and (values[1:] == 0.5).all()  # t = 1
+        _check_every_step(approx, None, cfg, 3)
+
+    def test_pairwise_sum_matches_numpy(self):
+        rng = np.random.default_rng(2)
+        for n in list(range(1, 40)) + [127, 128, 129, 200, 300]:
+            rows = rng.uniform(0, 1, (n, 5)) * 10.0 ** rng.integers(-4, 4, (n, 5))
+            got = 0.0 + _pairwise_sum(lambda b: rows[b], 0, n)
+            assert got.tolist() == [float(np.sum(col)) for col in rows.T], n
+
+    def test_ties_take_the_first_solution_in_product_order(self):
+        same = (0.0, 1, 0.5, np.eye(2))
+        approx = synthetic_set([[same] * 2, [same] * 3])
+        graph = build_partition_graph(approx.blocks)
+        for name, (engine, _) in CONFIGURATIONS.items():
+            if engine == "iterative":
+                sols = recombine(name, approx, graph, ObjectiveConfig(),
+                                 AnnealerConfig(seed=1), 4)
+                assert sols == [(0, 0), (0, 1), (0, 2), (1, 0)], name
+
+    @pytest.mark.parametrize("name", sorted(REAL_SETS))
+    def test_never_fewer_results_than_the_annealer(self, name, monkeypatch):
+        approx, graph = _expanded(*REAL_SETS[name])
+        for mode in Mode:
+            for epsilon in (0.02, 0.1):
+                cfg = ObjectiveConfig(epsilon=epsilon, mode=mode)
+                exact = recombine_iterative(approx, graph, cfg, AnnealerConfig(), 8)
+                f = make_objective(approx, graph, cfg)
+                for seed in range(2):
+                    ann_cfg = AnnealerConfig(max_iterations=20, seed=seed)
+                    with monkeypatch.context() as m:
+                        m.setattr(recombine_module, "EXACT_SPACE_LIMIT", 0)
+                        annealed = recombine_iterative(approx, graph, cfg, ann_cfg, 8)
+                    assert len(exact) >= len(annealed), (mode, epsilon, seed)
+                    # Both start from no results: the first pick is a minimum.
+                    if annealed:
+                        assert f(exact[0], []) <= f(annealed[0], [])
+
+    def test_above_the_limit_anneals_as_before(self, monkeypatch):
+        approx, graph = _expanded("qft_5", 3, 5)
+        monkeypatch.setattr(recombine_module, "EXACT_SPACE_LIMIT",
+                            math.prod(approx.counts()) - 1)
+        for mode in Mode:
+            cfg = ObjectiveConfig(mode=mode)
+            ann_cfg = AnnealerConfig(max_iterations=15, seed=4)
+            got = recombine_iterative(approx, graph, cfg, ann_cfg, 4)
+            assert got == _annealed_iterative(approx, graph, cfg, ann_cfg, 4), mode
+
+    def test_exact_selection_needs_what_objective_needs(self):
+        approx = synthetic_set([[(0.0, 1, None, np.eye(2)), (0.05, 0, None, X)]])
+        with pytest.raises(ValueError, match="graph"):
+            recombine_iterative(approx, None, ObjectiveConfig(mode=Mode.CASCADE),
+                                AnnealerConfig(), 2)
+        with pytest.raises(ValueError, match="score"):
+            recombine_iterative(approx, None, ObjectiveConfig(mode=Mode.BASIC_ERR),
+                                AnnealerConfig(), 2)

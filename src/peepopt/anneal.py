@@ -31,7 +31,7 @@ class AnnealerConfig:
     def __post_init__(self):
         if not 1.0 < self.q_v < 3.0:
             raise ValueError(f"q_v must be in (1, 3), got {self.q_v}")
-        if self.initial_temperature <= 0:
+        if not self.initial_temperature > 0:
             raise ValueError(
                 f"initial_temperature must be positive, got {self.initial_temperature}")
         if self.max_iterations is not None and self.max_iterations < 1:

@@ -398,6 +398,8 @@ def expand_all(
     budget: OptBudget | None = None,
 ) -> ApproximationSet:
     """Expand every block in order, one after the other."""
+    if not d_keep >= 0:
+        raise ValueError(f"d_keep must be non-negative, got {d_keep}")
     candidates = [expand_block(b, d_keep, seed, budget) for b in blocks]
     return ApproximationSet(num_qubits, list(blocks), candidates)
 

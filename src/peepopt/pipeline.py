@@ -73,6 +73,8 @@ class RunConfig:
             raise ValueError(f"shots_per_circuit must be positive, got {self.shots_per_circuit}")
         if self.c < 1:
             raise ValueError(f"c must be at least 1, got {self.c}")
+        if not self.d_keep >= 0:
+            raise ValueError(f"d_keep must be non-negative, got {self.d_keep}")
         for name in self.configs:
             if name not in CONFIGURATIONS:
                 raise ValueError(f"unknown configuration '{name}'")

@@ -3,10 +3,11 @@
 A solution assigns one candidate index to every partition block.  Solutions
 are scored by a three-part objective (approximation error, complexity or
 noisy-fidelity reduction, differentiation from already-selected circuits)
-that reads distance tables built once per objective.  The objective that
-``make_objective`` returns also keeps its values for the current set of
-already-selected solutions, so a solution the annealer revisits is scored
-once while that set stays the same.
+that reads per-block tables built once per objective (``ObjectiveTables``).
+The objective that ``make_objective`` returns also keeps, for the current
+set of already-selected solutions, their errors and the values it has
+computed, so a solution the annealer revisits is scored once while that set
+stays the same.
 
 The population engine anneals all c result circuits together (see
 ``anneal``).  The iterative engine picks one result circuit per step.  On
@@ -19,10 +20,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
-from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
+from operator import getitem
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,7 +32,7 @@ from .circuits import Circuit, compose, hs_distance
 from .expand import ApproximationSet
 from .partition import PartitionGraph, pair_embedding, pair_unitary
 
-TERM_MEMO_SIZE = 1 << 12  # entries kept by each memo of the objective (under 1 MB)
+TERM_MEMO_SIZE = 1 << 12  # values f keeps for one set of others (under 1 MB)
 
 
 class Mode(Enum):
@@ -58,7 +58,7 @@ class ObjectiveConfig:
     allow_duplicates: bool = False
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if not 0.0 <= self.w <= 1.0:
             raise ValueError(f"w must be in [0, 1], got {self.w}")
@@ -81,54 +81,49 @@ def pair_unitary_table(
 
 @dataclass(frozen=True)
 class ObjectiveTables:
-    """Distances the objective reads, computed once per objective and never
-    written afterwards, plus a memo of per-solution terms.
+    """Per-block tables the objective reads, computed once per objective.
+
+    ``hs[b][c]``, ``cnots[b][c]`` and ``fidelity[b][c]`` are the HS
+    distance, CNOT count and noisy fidelity score of candidate c of block
+    b (``fidelity`` is None while any candidate is unscored);
+    ``original_cnots`` is the original circuit's CNOT count.
 
     ``pair_distances[b][i][j]`` is the HS distance between candidates i and
     j of block b.  In cascade mode ``edge_distances[e][ci][cj]`` is the HS
     distance of the cascaded pair unitary for edge e under choices
     (ci, cj) to the original pair, and ``incident[b]`` lists the
     ``(edge, weight)`` pairs touching block b.
-
-    ``solution_terms`` is the one mutable part: one memo per term that
-    depends on a single solution (its basic or cascade error, CNOT ratio
-    and mean fidelity score), keyed by the solution.  The annealer revisits
-    the same few solutions many times, also after the already-selected
-    solutions change; the memo returns the value computed on the first
-    visit, so objective values do not change.
     """
 
+    hs: tuple[tuple[float, ...], ...]
+    cnots: tuple[tuple[int, ...], ...]
+    fidelity: tuple[tuple[float, ...], ...] | None
+    original_cnots: int
     pair_distances: tuple[list[list[float]], ...]
     edge_distances: dict[tuple[int, int], list[list[float]]] | None = None
     incident: tuple[tuple[tuple[tuple[int, int], int], ...], ...] | None = None
-    solution_terms: defaultdict = field(default_factory=lambda: defaultdict(dict),
-                                        compare=False, repr=False)
-
-    def term(self, name: str, sol: Solution, compute: Callable[[], float]) -> float:
-        """Memoized ``compute()`` of term ``name`` for one solution; each
-        term's memo is emptied when it reaches ``TERM_MEMO_SIZE`` entries."""
-        memo = self.solution_terms[name]
-        value = memo.get(sol)
-        if value is None:
-            if len(memo) >= TERM_MEMO_SIZE:
-                memo.clear()
-            value = memo[sol] = compute()
-        return value
 
     @classmethod
     def build(cls, approx: ApproximationSet,
               graph: PartitionGraph | None = None) -> "ObjectiveTables":
-        """Candidate-pair tables for every block; with a graph, also the
-        cascade tables for every edge."""
-        unitaries = [[c.unitary for c in cands] for cands in approx.candidates]
+        """Candidate vectors and candidate-pair tables for every block; with
+        a graph, also the cascade tables for every edge."""
+        cands = approx.candidates
+        hs = tuple(tuple(c.hs_distance for c in row) for row in cands)
+        cnots = tuple(tuple(c.cnots for c in row) for row in cands)
+        fidelity = tuple(tuple(c.fidelity_score for c in row) for row in cands)
+        if any(s is None for row in fidelity for s in row):
+            fidelity = None
+        unitaries = [[c.unitary for c in row] for row in cands]
         pair_distances = []
         for us in unitaries:
             table = [[0.0] * len(us) for _ in us]
             for i, j in itertools.combinations(range(len(us)), 2):
                 table[i][j] = table[j][i] = hs_distance(us[i], us[j])
             pair_distances.append(table)
+        terms = (hs, cnots, fidelity, approx.original_cnots(), tuple(pair_distances))
         if graph is None:
-            return cls(tuple(pair_distances))
+            return cls(*terms)
         edge_distances = {}
         for i, j in graph.edges:
             union, pos_i, pos_j = pair_embedding(approx.blocks, i, j)
@@ -140,7 +135,24 @@ class ObjectiveTables:
             tuple((e, graph.edges[e]) for e in graph.incident(b))
             for b in range(len(approx.blocks))
         )
-        return cls(tuple(pair_distances), edge_distances, incident)
+        return cls(*terms, edge_distances, incident)
+
+    def basic_error(self, sol: Solution) -> float:
+        """``circuit_error_basic`` of a solution, read from ``hs``."""
+        return sum(map(getitem, self.hs, sol))
+
+
+def objective_tables(approx: ApproximationSet, graph: PartitionGraph | None,
+                     cfg: ObjectiveConfig) -> ObjectiveTables:
+    """The tables the objective under ``cfg`` reads: with the cascade tables
+    in cascade mode, which needs a graph, and with every fidelity score in
+    ``BASIC_ERR`` mode."""
+    if cfg.mode is Mode.CASCADE and graph is None:
+        raise ValueError("cascade mode requires a partition graph")
+    tables = ObjectiveTables.build(approx, graph if cfg.mode is Mode.CASCADE else None)
+    if cfg.mode is Mode.BASIC_ERR and tables.fidelity is None:
+        raise ValueError("fidelity scores not cached; run score_candidates first")
+    return tables
 
 
 def circuit_error_basic(sol: Solution, approx: ApproximationSet) -> float:
@@ -164,13 +176,12 @@ def circuit_error_cascade(
     total = 0.0
     for b, incident in enumerate(tables.incident):
         if not incident:
-            total += approx.candidates[b][sol[b]].hs_distance
+            total += tables.hs[b][sol[b]]
             continue
         num = 0.0
         den = 0.0
-        for edge, w in incident:
-            i, j = edge
-            num += w * tables.edge_distances[edge][sol[i]][sol[j]]
+        for (i, j), w in incident:
+            num += w * tables.edge_distances[i, j][sol[i]][sol[j]]
             den += w
         total += num / den
     return total
@@ -181,26 +192,27 @@ def differentiation(
     others: Sequence[Solution],
     approx: ApproximationSet,
     tables: ObjectiveTables | None = None,
+    errors: Sequence[float] | None = None,
 ) -> float:
     """Fraction of existing solutions that the candidate fails to differ
     from: one counts when its distance to the candidate, the sum of the
     per-block candidate distances, is no more than the larger of the two
-    approximation errors.  Empty existing set scores 0."""
+    approximation errors.  Empty existing set scores 0.  ``errors`` may
+    hand in the basic errors of ``others``, in order."""
     if not others:
         return 0.0
     if tables is None:
         tables = ObjectiveTables.build(approx)
-    sol = tuple(sol)
+    if errors is None:
+        errors = [*map(tables.basic_error, others)]
     # Row of each block's distance table for the candidate's choice; the
     # distance sums in block order, so verdicts at equality do not move.
     rows = [table[c] for table, c in zip(tables.pair_distances, sol)]
-    e_sol = tables.term("basic", sol, lambda: circuit_error_basic(sol, approx))
+    e_sol = tables.basic_error(sol)
     close = 0
-    for s in others:
-        s = tuple(s)
-        d = sum(map(operator.getitem, rows, s))
-        close += d <= e_sol or d <= tables.term(
-            "basic", s, lambda: circuit_error_basic(s, approx))
+    for s, e in zip(others, errors):
+        d = sum(map(getitem, rows, s))
+        close += d <= e_sol or d <= e
     return close / len(others)
 
 
@@ -214,18 +226,28 @@ def reassemble(sol: Solution, approx: ApproximationSet) -> Circuit:
     )
 
 
-def _mean_fidelity_score(sol: Solution, approx: ApproximationSet) -> float:
-    scores = [approx.candidates[b][c].fidelity_score for b, c in enumerate(sol)]
-    if any(s is None for s in scores):
-        raise ValueError("fidelity scores not cached; run score_candidates first")
-    return float(np.mean(scores))
-
-
-def _cnot_ratio(sol: Solution, approx: ApproximationSet) -> float:
-    orig = approx.original_cnots()
-    if not orig:
-        return 0.0
-    return sum(approx.candidates[b][c].cnots for b, c in enumerate(sol)) / orig
+def _pairwise_sum(term: Callable[[int], float | np.ndarray], lo: int,
+                  n: int) -> float | np.ndarray:
+    """Sum of ``term(lo) ... term(lo + n - 1)``, floats or arrays, in the
+    order NumPy's pairwise summation adds the elements of a float64 vector:
+    0.0 plus this sum is ``np.sum`` of the vector, bit for bit."""
+    if n < 8:
+        total = 0.0
+        for b in range(lo, lo + n):
+            total = total + term(b)
+        return total
+    if n <= 128:
+        r = [term(b) for b in range(lo, lo + 8)]
+        i = 8
+        while i < n - n % 8:
+            r = [acc + term(lo + i + j) for j, acc in enumerate(r)]
+            i += 8
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for b in range(lo + i, lo + n):
+            total += term(b)
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(term, lo, half) + _pairwise_sum(term, lo + half, n - half)
 
 
 def objective(
@@ -235,31 +257,32 @@ def objective(
     graph: PartitionGraph | None,
     cfg: ObjectiveConfig,
     tables: ObjectiveTables | None = None,
+    errors: Sequence[float] | None = None,
 ) -> float:
     """Annealing objective: duplicate check, then error threshold, then the
-    weighted complexity/differentiation score."""
+    weighted complexity/differentiation score.  Builds ``objective_tables``
+    and the basic ``errors`` of ``others`` when they are not handed in."""
     sol = tuple(sol)
     if not cfg.allow_duplicates and any(tuple(s) == sol for s in others):
         return DUPLICATE_PENALTY
-    if cfg.mode is Mode.CASCADE and graph is None:
-        raise ValueError("cascade mode requires a partition graph")
     if tables is None:
-        tables = ObjectiveTables.build(approx, graph if cfg.mode is Mode.CASCADE else None)
-    if cfg.mode is not Mode.BASIC_ERR:
+        tables = objective_tables(approx, graph, cfg)
+    if cfg.mode is Mode.BASIC_ERR:
+        # Mean fidelity score, summed as np.mean sums: same bits.
+        scores = [*map(getitem, tables.fidelity, sol)]
+        g = (0.0 + _pairwise_sum(scores.__getitem__, 0, len(scores))) / len(scores)
+    else:
         if cfg.mode is Mode.CASCADE:
-            err = tables.term("cascade", sol,
-                              lambda: circuit_error_cascade(sol, approx, graph, tables))
+            err = circuit_error_cascade(sol, approx, graph, tables)
         else:
-            err = tables.term("basic", sol, lambda: circuit_error_basic(sol, approx))
+            err = tables.basic_error(sol)
         if err > cfg.epsilon:
             if cfg.mode is Mode.QUEST:
                 return QUEST_THRESHOLD_PENALTY
             return err - cfg.epsilon + GRADIENT_PENALTY_BASE
-    if cfg.mode is Mode.BASIC_ERR:
-        g = tables.term("fidelity", sol, lambda: _mean_fidelity_score(sol, approx))
-    else:
-        g = tables.term("cnots", sol, lambda: _cnot_ratio(sol, approx))
-    t = differentiation(sol, others, approx, tables)
+        orig = tables.original_cnots
+        g = sum(map(getitem, tables.cnots, sol)) / orig if orig else 0.0
+    t = differentiation(sol, others, approx, tables, errors)
     return cfg.w * g + (1.0 - cfg.w) * t
 
 
@@ -268,29 +291,31 @@ def make_objective(
     graph: PartitionGraph | None,
     cfg: ObjectiveConfig,
 ) -> Callable[[Solution, Sequence[Solution]], float]:
-    """Build the distance tables once and return f(solution, others) -> value.
+    """Build the tables once and return f(solution, others) -> value.
 
-    f keeps the values it computed for the current ``others``, compared by
-    value on every call, so ``others`` may be a list its caller appends to.
-    The kept values are dropped when ``others`` changes and when they reach
-    ``TERM_MEMO_SIZE`` entries.
+    f keeps the basic errors of the current ``others`` and the values it
+    computed against them, compared by value on every call, so ``others``
+    may be a list its caller appends to.  Both are dropped when ``others``
+    changes; the values also when they reach ``TERM_MEMO_SIZE`` entries.
     """
-    tables = ObjectiveTables.build(approx, graph if cfg.mode is Mode.CASCADE else None)
+    tables = objective_tables(approx, graph, cfg)
     values: dict[Solution, float] = {}
     values_for: tuple = ()  # the others that ``values`` were computed with
+    errors: list[float] = []  # their basic errors
 
     def f(sol, others):
-        nonlocal values_for
+        nonlocal values_for, errors
         sol = tuple(sol)
         current = tuple([*map(tuple, others)])  # from a list: see decode
         if current != values_for:
             values.clear()
             values_for = current
+            errors = [*map(tables.basic_error, current)]
         value = values.get(sol)
         if value is None:
             if len(values) >= TERM_MEMO_SIZE:
                 values.clear()
-            value = values[sol] = objective(sol, current, approx, graph, cfg, tables)
+            value = values[sol] = objective(sol, current, approx, graph, cfg, tables, errors)
         return value
     return f
 
@@ -322,29 +347,6 @@ def _add_over_space(acc: np.ndarray, table, axes: tuple[int, ...],
     np.add(view, values, out=view)
 
 
-def _pairwise_sum(term: Callable[[int], np.ndarray], lo: int, n: int) -> np.ndarray:
-    """Sum of ``term(lo) ... term(lo + n - 1)`` in the order NumPy's pairwise
-    summation adds the elements of a float64 vector: 0.0 plus this sum is
-    ``np.sum`` of the vector, bit for bit."""
-    if n < 8:
-        total = 0.0
-        for b in range(lo, lo + n):
-            total = total + term(b)
-        return total
-    if n <= 128:
-        r = [term(b) for b in range(lo, lo + 8)]
-        i = 8
-        while i < n - n % 8:
-            r = [acc + term(lo + i + j) for j, acc in enumerate(r)]
-            i += 8
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for b in range(lo + i, lo + n):
-            total += term(b)
-        return total
-    half = n // 2 - n // 2 % 8
-    return _pairwise_sum(term, lo, half) + _pairwise_sum(term, lo + half, n - half)
-
-
 class EnumeratedObjective:
     """The objective at every solution of a choice space, against a growing
     list of selected results.
@@ -359,37 +361,32 @@ class EnumeratedObjective:
 
     def __init__(self, approx: ApproximationSet, graph: PartitionGraph | None,
                  cfg: ObjectiveConfig):
-        if cfg.mode is Mode.CASCADE and graph is None:
-            raise ValueError("cascade mode requires a partition graph")
+        tables = objective_tables(approx, graph, cfg)
         self.counts = counts = approx.counts()
         self.cfg = cfg
         size = math.prod(counts)
-        tables = ObjectiveTables.build(approx, graph if cfg.mode is Mode.CASCADE else None)
         self.pair = [np.array(t) for t in tables.pair_distances]
-        hs = [[c.hs_distance for c in cands] for cands in approx.candidates]
         self.basic = np.zeros(size)
-        for b, v in enumerate(hs):
+        for b, v in enumerate(tables.hs):
             _add_over_space(self.basic, v, (b,), counts)
         if cfg.mode is Mode.BASIC_ERR:
-            scores = [[c.fidelity_score for c in cands] for cands in approx.candidates]
-            if any(s is None for row in scores for s in row):
-                raise ValueError("fidelity scores not cached; run score_candidates first")
             g = 0.0 + _pairwise_sum(
-                lambda b: _broadcast(scores[b], (b,), counts).reshape(-1), 0, len(counts))
+                lambda b: _broadcast(tables.fidelity[b], (b,), counts).reshape(-1),
+                0, len(counts))
             g /= len(counts)
             self.penalized = None
         else:
             cnots = np.zeros(size)  # whole numbers, so the sum is exact
-            for b, cands in enumerate(approx.candidates):
-                _add_over_space(cnots, [c.cnots for c in cands], (b,), counts)
-            orig = approx.original_cnots()
+            for b, v in enumerate(tables.cnots):
+                _add_over_space(cnots, v, (b,), counts)
+            orig = tables.original_cnots
             g = cnots / orig if orig else np.zeros(size)
             err = self.basic
             if cfg.mode is Mode.CASCADE:
                 err = np.zeros(size)
                 for b, incident in enumerate(tables.incident):
                     if not incident:
-                        _add_over_space(err, hs[b], (b,), counts)
+                        _add_over_space(err, tables.hs[b], (b,), counts)
                         continue
                     num = np.zeros(size)
                     den = 0.0
@@ -518,6 +515,8 @@ def recombine(
         raise ValueError(
             f"unknown configuration '{name}'; choose from {sorted(CONFIGURATIONS)}"
         ) from None
+    if not approx.blocks:
+        raise ValueError("need at least one block")
     # recombine_population turns duplicates back on for its engine.
     cfg = replace(obj_cfg, mode=mode, allow_duplicates=False)
     if engine == "iterative":

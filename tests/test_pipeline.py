@@ -1,5 +1,6 @@
 """Unit tests for the pipeline driver and the command-line interface."""
 import json
+import math
 import re
 
 import numpy as np
@@ -63,6 +64,8 @@ class TestRunConfig:
     @pytest.mark.parametrize("bad", [
         {"c": 0}, {"epsilon": 0.0}, {"w": 2.0}, {"q_v": 5.0}, {"max_iterations": -1},
         {"initial_temperature": 0.0}, {"q_a": 1.0}, {"q_a": 2.5},
+        {"epsilon": math.nan}, {"initial_temperature": math.nan},
+        {"d_keep": math.nan}, {"d_keep": -0.1},
     ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
     def test_rejects_bad_stage_setting(self, bad):
         (key,) = bad
@@ -240,6 +243,9 @@ class TestCli:
         ({"k": "2"}, "RunConfig key 'k' must be int, got '2'"),
         ({"noise": 5}, "RunConfig key 'noise' must be NoiseModel, got 5"),
         ({"q_a": 1.0}, "q_a must be below 1, got 1.0"),
+        ({"epsilon": math.nan}, "epsilon must be positive, got nan"),
+        ({"initial_temperature": math.nan}, "initial_temperature must be positive, got nan"),
+        ({"d_keep": math.nan}, "d_keep must be non-negative, got nan"),
     ])
     def test_bad_config_file_is_input_error(self, tiny_qasm, tmp_path, capsys,
                                             overrides, message):
@@ -251,6 +257,24 @@ class TestCli:
         ]) == 1
         assert f"error: {message}" in capsys.readouterr().err.splitlines()[0]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("d_keep", ["nan", "-0.5"])
+    def test_expand_rejects_bad_d_keep(self, tiny_qasm, tmp_path, capsys, d_keep):
+        cache = tmp_path / "cache.json"
+        assert main(["expand", "--circuit", str(tiny_qasm), "--k", "2",
+                     "--out", str(cache), "--d-keep", d_keep]) == 1
+        assert "error: d_keep must be non-negative" in capsys.readouterr().err
+        assert not cache.exists()
+
+    @pytest.mark.parametrize("config", ["quest", "basic", "basic-err", "pop", "pop-err",
+                                        "cascade"])
+    def test_gate_free_circuit_is_pipeline_error(self, tmp_path, capsys, config):
+        empty = tmp_path / "empty.qasm"
+        empty.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\n')
+        assert main(["run", "--circuit", str(empty), "--k", "2", "--configs", config,
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: [recombine] {config}: need at least one block" in err
 
     def test_input_error_exit_code(self, tmp_path, capsys):
         assert main(["partition", "--circuit", str(tmp_path / "none.qasm")]) == 1

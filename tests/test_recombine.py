@@ -37,6 +37,7 @@ from peepopt.recombine import (
     differentiation,
     make_objective,
     objective,
+    objective_tables,
     reassemble,
     recombine,
     recombine_iterative,
@@ -155,7 +156,7 @@ class TestObjectiveTables:
 
 
     def test_objective_unchanged_when_term_memo_overflows(self, monkeypatch):
-        # A memo of three entries is emptied over and over within one call.
+        # f keeps at most three values, so its memo empties over and over.
         monkeypatch.setattr(recombine_module, "TERM_MEMO_SIZE", 3)
         circ = Circuit(3, (cx(0, 1), rx(0.3, 0), cx(1, 0), cx(1, 2), rz(0.5, 2),
                            cx(2, 1), cx(0, 2)))
@@ -176,7 +177,8 @@ class TestObjectiveTables:
             for _ in range(20):
                 sol, others = draw(), [draw() for _ in range(5)]
                 assert f(sol, others) == objective(sol, others, approx, graph, cfg)
-            # Fixed others: f's own memo of values fills and empties too.
+            # Fixed others: the values fill the memo instead of being
+            # dropped with the others.
             others = [draw() for _ in range(3)]
             for _ in range(40):
                 sol = draw()
@@ -209,7 +211,87 @@ class TestObjectiveTables:
         assert len(computed) == 5
 
 
+def _reference_objective(sol, others, approx, graph, cfg):
+    """The objective written from the candidates' own fields, with the mean
+    fidelity score taken by np.mean."""
+    from peepopt.circuits import hs_distance
+    chosen = approx.chosen(sol)
+    if not cfg.allow_duplicates and tuple(sol) in map(tuple, others):
+        return DUPLICATE_PENALTY
+    if cfg.mode is Mode.BASIC_ERR:
+        g = float(np.mean([c.fidelity_score for c in chosen]))
+    else:
+        err = (circuit_error_cascade(sol, approx, graph) if cfg.mode is Mode.CASCADE
+               else circuit_error_basic(sol, approx))
+        if err > cfg.epsilon:
+            if cfg.mode is Mode.QUEST:
+                return QUEST_THRESHOLD_PENALTY
+            return err - cfg.epsilon + GRADIENT_PENALTY_BASE
+        orig = approx.original_cnots()
+        g = sum(c.cnots for c in chosen) / orig if orig else 0.0
+    close = 0
+    for s in others:
+        d = sum(0.0 if i == j else hs_distance(cands[min(i, j)].unitary,
+                                               cands[max(i, j)].unitary)
+                for cands, i, j in zip(approx.candidates, sol, s))
+        close += (d <= circuit_error_basic(sol, approx)
+                  or d <= circuit_error_basic(s, approx))
+    t = close / len(others) if others else 0.0
+    return cfg.w * g + (1.0 - cfg.w) * t
+
+
+class TestObjectiveMatchesReference:
+    @pytest.mark.parametrize("p", [1, 5, 9, 70, 140])
+    def test_bit_equal_in_every_mode(self, p):
+        # Scores and distances of mixed magnitudes, so that the order of the
+        # adds shows in the last bits.
+        rng = np.random.default_rng(p)
+
+        def small():
+            return float(rng.uniform(0, 0.01) * 10.0 ** -int(rng.integers(4)))
+
+        def score():
+            return float(rng.uniform() * 10.0 ** -int(rng.integers(6)))
+
+        rx3 = unitary_of(Circuit(1, (rx(0.3, 0),)))
+        specs = [[(small(), 2, score(), np.eye(2))] for _ in range(p)]
+        for b in rng.choice(p, min(p, 4), replace=False):
+            specs[b] += [(small(), 1, score(), X), (small(), 0, score(), rx3)]
+        approx = synthetic_set(specs)
+        graph = build_partition_graph(approx.blocks)
+        counts = approx.counts()
+
+        def draw():
+            return tuple(int(rng.integers(a)) for a in counts)
+
+        for mode in Mode:
+            for epsilon in (0.002, 1.0):
+                cfg = ObjectiveConfig(epsilon=epsilon, mode=mode)
+                f = make_objective(approx, graph, cfg)
+                for _ in range(6):
+                    sol = draw()
+                    others = [draw() for _ in range(int(rng.integers(4)))]
+                    want = _reference_objective(sol, others, approx, graph, cfg).hex()
+                    assert objective(sol, others, approx, graph, cfg).hex() == want
+                    assert f(sol, others).hex() == want, (mode, epsilon, sol, others)
+
+
 class TestDifferentiation:
+    def test_same_with_and_without_errors_handed_in(self):
+        approx, _ = _expanded("qft_5", 3, 5)
+        tables = ObjectiveTables.build(approx)
+        rng = np.random.default_rng(3)
+
+        def draw():
+            return tuple(int(rng.integers(a)) for a in approx.counts())
+
+        for _ in range(50):
+            sol, others = draw(), [draw() for _ in range(int(rng.integers(1, 6)))]
+            errors = [circuit_error_basic(s, approx) for s in others]
+            want = differentiation(sol, others, approx)
+            assert differentiation(sol, others, approx, tables) == want
+            assert differentiation(sol, others, approx, tables, errors) == want
+
     def test_empty_others(self):
         approx = synthetic_set([[(0.0, 1, None, np.eye(2))]])
         assert differentiation((0,), [], approx) == 0.0
@@ -459,6 +541,13 @@ class TestEngines:
             for sol in sols:
                 assert all(0 <= c < a for c, a in zip(sol, approx.counts()))
 
+    def test_empty_set_rejected_by_every_configuration(self):
+        approx = ApproximationSet(2, [], [])
+        graph = build_partition_graph([])
+        for name in CONFIGURATIONS:
+            with pytest.raises(ValueError, match="need at least one block"):
+                recombine(name, approx, graph, ObjectiveConfig(), AnnealerConfig(), 2)
+
     def test_unknown_configuration(self):
         approx, graph = self._approx_and_graph()
         with pytest.raises(ValueError, match="unknown configuration"):
@@ -676,7 +765,7 @@ def _check_every_step(approx, graph, cfg, c):
     """Select c results exactly, holding every value of every step to
     objective(); returns the branches seen."""
     space = EnumeratedObjective(approx, graph, cfg)
-    tables = ObjectiveTables.build(approx, graph if cfg.mode is Mode.CASCADE else None)
+    tables = objective_tables(approx, graph, cfg)
     sols = list(itertools.product(*map(range, approx.counts())))
     branches = set()
     for _ in range(c):

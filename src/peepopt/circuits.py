@@ -7,7 +7,9 @@ are 2^12 x 2^12.
 
 Every product the library computes goes through one kernel, ``gate_product``:
 it keeps the running product as a tensor in whatever axis order the previous
-gate left it, so each gate costs one permuted copy and one ``np.dot``.
+gate left it, so each gate costs one permuted copy and one ``np.dot``.  It
+multiplies the identity or a given ``start`` matrix, so it also runs a state
+vector, or vec(rho) under superoperators as a 2n-qubit state (``noise``).
 ``apply_unitary`` applies one gate to an existing matrix with the same axis
 convention (``_apply_plan``); no library code calls it, and it stays as the
 single-gate reference the tests hold ``gate_product`` to.
@@ -223,30 +225,35 @@ def gate_plan(qubit_lists: Sequence[Sequence[int]], n: int) -> tuple[list, tuple
     return steps, _apply_plan(prev, n)[1]
 
 
-def gate_product(mats: Sequence[np.ndarray], plan, n: int, taps=None) -> np.ndarray:
-    """Return ``embed(u_k) @ ... @ embed(u_1)`` as a contiguous ``2^n x 2^n`` matrix.
+def gate_product(mats: Sequence[np.ndarray], plan, n: int, taps=None,
+                 start: np.ndarray | None = None) -> np.ndarray:
+    """Return ``embed(u_k) @ ... @ embed(u_1) @ start`` as a contiguous matrix.
 
-    ``mats`` are the gates' local unitaries and ``plan`` is
-    ``gate_plan(qubits of each gate, n)``.  The running product stays a
-    ``(2,)*n + (2^n,)`` tensor in whatever row-axis order the last gate left
+    ``mats`` are the gates' local matrices and ``plan`` is
+    ``gate_plan(qubits of each gate, n)``.  ``start`` is a ``2^n x c`` matrix
+    and defaults to the ``2^n x 2^n`` identity.  The running product stays a
+    ``(2,)*n + (c,)`` tensor in whatever row-axis order the last gate left
     it, so each gate costs one permuted copy and one ``np.dot``; the columns
     never move.  Each ``np.dot`` receives the same array that ``apply_unitary``
-    would build from the logical product, so the result is bit-identical to
-    chaining ``apply_unitary`` from the identity.
+    would build from the logical product, so from the identity the result is
+    bit-identical to chaining ``apply_unitary``.
 
-    ``taps`` maps a gate index to a writable ``(2,)*n + (2^n,)`` array; the
+    ``taps`` maps a gate index to a writable ``(2,)*n + (c,)`` array; the
     product of the gates before that index is copied into it in logical order.
     """
     steps, back = plan
     dim = 1 << n
-    shape = (2,) * n + (dim,)
-    t = np.eye(dim, dtype=complex).reshape(shape)
+    if start is None:
+        start = np.eye(dim, dtype=complex)
+    cols = start.shape[1]
+    shape = (2,) * n + (cols,)
+    t = start.reshape(shape)
     for g, (u, (perm, rows, logical)) in enumerate(zip(mats, steps)):
         tap = taps.get(g) if taps else None
         if tap is not None:
             tap[...] = t.transpose(logical)
         t = np.dot(u, t.transpose(perm).reshape(rows, -1)).reshape(shape)
-    return t.transpose(back).reshape(dim, dim)
+    return t.transpose(back).reshape(dim, cols)
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:

@@ -3,9 +3,10 @@
 The noise model applies a depolarizing channel after every gate, with
 separate strengths for single- and two-qubit gates, plus optional per-qubit
 readout bit flips applied only at measurement time.  The simulator fuses
-each gate with its depolarizing channel into one 4^m x 4^m superoperator
-on the gate's m qubits and contracts it with the density matrix held as a
-2n-axis tensor, so a noisy gate costs one ``tensordot``.
+each gate with its depolarizing channel into one superoperator
+(``_gate_channel``), composes the channels of each run of gates on at most
+two qubits into one channel, and applies the runs to vec(rho) with
+``circuits.gate_product``, so a run, not a gate, costs one pass over rho.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import Circuit, gate_matrix
+from .circuits import Circuit, gate_matrix, gate_plan, gate_product
 
 
 class DimensionError(ValueError):
@@ -25,9 +26,11 @@ class DimensionError(ValueError):
 class NoiseModel:
     """Depolarizing probabilities per gate plus optional readout flips.
 
-    ``readout[q]`` is the bit-flip probability of qubit q's measurement;
-    ``overrides`` maps a qubit to per-qubit (p1, p2) replacements.  For a
-    two-qubit gate the largest applicable p2 wins.
+    ``readout[q]`` is the bit-flip probability of qubit q's measurement and
+    has one entry per qubit of the circuit it is used with.  ``overrides``
+    maps a qubit to a per-qubit (p1, p2); a gate takes the largest of the
+    base probability and the overrides of its qubits, so an override can
+    only raise a qubit's probability, never lower it.
     """
 
     p1: float = 0.0
@@ -95,50 +98,152 @@ class NoiseModel:
 def _gate_channel(u: np.ndarray, p: float) -> np.ndarray:
     """Superoperator of ``rho -> (1-p) U rho U^dag + p Tr(rho) I/d`` on row-major vec(rho).
 
-    Row-major vectorization maps ``U rho U^dag`` to ``kron(U, U*)`` and the
-    fully depolarized output ``Tr(rho) I/d`` to ``outer(vec(I)/d, vec(I))``.
+    Row-major vectorization maps ``U rho U^dag`` to ``kron(U, U*)``, built
+    here as one broadcast product, and the fully depolarized output
+    ``Tr(rho) I/d`` to ``p/d`` at every (vec(I), vec(I)) position, which
+    are the entries ``[::d+1, ::d+1]``.
     """
     d = u.shape[0]
-    channel = (1.0 - p) * np.kron(u, u.conj())
+    channel = (1.0 - p) * (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(d * d, d * d)
     if p:
-        vec_eye = np.eye(d).reshape(-1)
-        channel += (p / d) * np.outer(vec_eye, vec_eye)
+        channel[::d + 1, ::d + 1] += p / d
     return channel
+
+
+# Row/column index that reorders a two-qubit ``_gate_channel`` into a run's
+# (row a, col a, row b, col b) order: it comes in (row a, row b, col a, col b)
+# order for a gate listed as (a, b), keyed True, and (row b, row a, col b,
+# col a) for one listed as (b, a), keyed False.
+_PAIR_ORDER = {
+    same: np.arange(16).reshape(2, 2, 2, 2).transpose(axes).reshape(-1)
+    for same, axes in ((True, (0, 2, 1, 3)), (False, (1, 3, 0, 2)))
+}
+_EYE4 = np.eye(4)
+
+
+def _runs(gates) -> list[tuple[tuple[int, ...], list]]:
+    """Split a gate sequence into runs on at most two qubits each.
+
+    Greedy, with at most one open run per qubit: a gate joins the runs open
+    on its qubits while their union has at most two qubits; otherwise the
+    runs that reach past the gate's qubits are closed first.  A run is
+    ``(qubits, gates)``; a two-qubit run lists its qubits in the order of its
+    first two-qubit gate.  Runs come out in an order that keeps every
+    qubit's gate order, so applying them in turn applies the gates in turn.
+    """
+    closed, open_runs = [], {}
+    for g in gates:
+        joined = [open_runs[q] for q in g.qubits if q in open_runs]
+        if len(joined) == 2 and joined[0] is joined[1]:
+            joined.pop()
+        if len({q for r in joined for q in r[0]} | set(g.qubits)) > 2:
+            for r in [r for r in joined if not set(r[0]) <= set(g.qubits)]:
+                closed.append(r)
+                joined.remove(r)
+                for q in r[0]:
+                    del open_runs[q]
+        if len(joined) == 1 and set(g.qubits) <= set(joined[0][0]):
+            run = joined[0]
+        else:
+            run = (g.qubits, [h for r in joined for h in r[1]])
+            for q in run[0]:
+                open_runs[q] = run
+        run[1].append(g)
+    return closed + list({id(r): r for r in open_runs.values()}.values())
+
+
+def _fold(m: np.ndarray | None, pa: np.ndarray | None, pb: np.ndarray | None) -> np.ndarray:
+    """``kron(pa, pb) @ m`` in (row a, col a, row b, col b) order, where None
+    stands for the identity: each 4x4 acts on one half of the index."""
+    if m is None:
+        pa = _EYE4 if pa is None else pa
+        pb = _EYE4 if pb is None else pb
+        return (pa[:, None, :, None] * pb[None, :, None, :]).reshape(16, 16)
+    if pa is not None:
+        m = np.dot(pa, m.reshape(4, 64)).reshape(16, 16)
+    if pb is not None:
+        m = np.matmul(pb, m.reshape(4, 4, 16)).reshape(16, 16)
+    return m
+
+
+def _run_channel(qubits: tuple[int, ...], gates: list, noise: NoiseModel,
+                 n: int) -> tuple[np.ndarray, list[int]]:
+    """A run's noisy channel and the vec(rho) qubits it acts on, high bit first.
+
+    Each gate keeps its own ``_gate_channel`` with its own ``gate_prob``.  A
+    run of one gate uses that channel as it is.  A two-qubit run composes in
+    (row a, col a, row b, col b) order: one-qubit channels are multiplied per
+    qubit as 4x4s and folded into the 16x16 product before each two-qubit
+    gate and at the end.
+    """
+    chans = [_gate_channel(gate_matrix(g), noise.gate_prob(g.qubits)) for g in gates]
+    if len(gates) == 1:
+        return chans[0], [n + q for q in qubits] + list(qubits)
+    if len(qubits) == 1:
+        m = chans[0]
+        for s in chans[1:]:
+            m = s @ m
+        return m, [n + qubits[0], qubits[0]]
+    a, b = qubits
+    m = pa = pb = None
+    for g, s in zip(gates, chans):
+        if g.qubits == (a,):
+            pa = s if pa is None else s @ pa
+        elif g.qubits == (b,):
+            pb = s if pb is None else s @ pb
+        else:
+            if pa is not None or pb is not None:
+                m, pa, pb = _fold(m, pa, pb), None, None
+            idx = _PAIR_ORDER[g.qubits[0] == a]
+            s = s[idx[:, None], idx]
+            m = s if m is None else s @ m
+    if pa is not None or pb is not None:
+        m = _fold(m, pa, pb)
+    return m, [n + a, a, n + b, b]
 
 
 def simulate_density(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
     """Density matrix of the circuit run from |0...0> under the noise model.
 
     Each gate acts as rho -> U rho U^dag followed by a depolarizing channel
-    on the gate's qubits, fused into one 4^m x 4^m superoperator
-    (``_gate_channel``) that is contracted with the gate's row and column
-    axes of rho held as a 2n-axis tensor.  Readout error is not applied here.
+    on the gate's qubits (``_gate_channel``).  The gates are grouped into
+    runs on at most two qubits (``_runs``), each run's channels are composed
+    once into one channel of at most 16x16 (``_run_channel``), and
+    ``circuits.gate_product`` applies the runs in turn to row-major vec(rho)
+    held as a 2n-qubit state, where column qubit q is qubit q and row qubit
+    q is qubit n + q.  Each run, not each gate, costs one pass over the 4^n
+    entries.  Readout error is not applied here.
     """
     n = circuit.num_qubits
     if n > 12:
         raise DimensionError(f"{n} qubits exceeds the 12-qubit density limit")
     dim = 1 << n
-    # Axes (row qubit n-1, ..., row qubit 0, col qubit n-1, ..., col qubit 0).
-    rho = np.zeros((2,) * (2 * n), dtype=complex)
-    rho[(0,) * (2 * n)] = 1.0
-    for g in circuit.gates:
-        m = len(g.qubits)
-        rows = [n - 1 - q for q in g.qubits]
-        axes = rows + [a + n for a in rows]
-        channel = _gate_channel(gate_matrix(g), noise.gate_prob(g.qubits))
-        rho = np.tensordot(channel.reshape((2,) * (4 * m)), rho,
-                           axes=(list(range(2 * m, 4 * m)), axes))
-        rho = np.moveaxis(rho, list(range(2 * m)), axes)
-    return rho.reshape(dim, dim)
+    mats, axes = [], []
+    for qubits, gates in _runs(circuit.gates):
+        m, on = _run_channel(qubits, gates, noise, n)
+        mats.append(m)
+        axes.append(on)
+    start = np.zeros((dim * dim, 1), dtype=complex)
+    start[0, 0] = 1.0
+    return gate_product(mats, gate_plan(axes, 2 * n), 2 * n, start=start).reshape(dim, dim)
+
+
+def check_readout(readout: tuple[float, ...] | None, num_qubits: int) -> None:
+    """Raise ``DimensionError`` unless ``readout`` is None or has one entry per qubit."""
+    if readout is not None and len(readout) != num_qubits:
+        raise DimensionError(
+            f"readout has {len(readout)} entries for a {num_qubits}-qubit circuit"
+        )
 
 
 def measure_distribution(
     rho: np.ndarray, readout: tuple[float, ...] | None = None
 ) -> np.ndarray:
     """Outcome probabilities: the diagonal of rho, optionally convolved with
-    per-qubit readout bit flips."""
+    per-qubit readout bit flips (one entry per qubit, checked)."""
     probs = np.clip(np.real(np.diag(rho)), 0.0, None)
     n = int(np.log2(len(probs)))
+    check_readout(readout, n)
     if readout is not None:
         t = probs.reshape((2,) * n)
         for q, f in enumerate(readout):

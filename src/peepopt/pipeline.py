@@ -15,11 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuits import Circuit, cnot_count
+from .circuits import Circuit, cnot_count, gate_matrix, gate_plan, gate_product
 from .expand import ApproximationSet, OptBudget, expand_all, score_candidates
 from .metrics import jsd, tvd
 from .noise import (
+    DimensionError,
     NoiseModel,
+    check_readout,
     counts_to_distribution,
     measure_distribution,
     sample_counts,
@@ -130,8 +132,13 @@ def _has_type(value, hint) -> bool:
 
 
 def ideal_distribution(circuit: Circuit) -> np.ndarray:
-    """Exact noiseless output distribution (diagonal of the pure density)."""
-    return measure_distribution(simulate_density(circuit, NoiseModel.zero()))
+    """Exact noiseless output distribution: |psi|^2 of the state vector from |0...0>."""
+    n = circuit.num_qubits
+    start = np.zeros((1 << n, 1), dtype=complex)
+    start[0, 0] = 1.0
+    plan = gate_plan([g.qubits for g in circuit.gates], n)
+    psi = gate_product([gate_matrix(g) for g in circuit.gates], plan, n, start=start)
+    return np.abs(psi[:, 0]) ** 2
 
 
 def noisy_distribution(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
@@ -215,6 +222,11 @@ def evaluate_circuit(path: str, cfg: RunConfig) -> CircuitReport:
         raise PipelineError("input", f"{path}: {exc}") from exc
     except ValueError as exc:
         raise PipelineError("parse", f"{path}: {exc}") from exc
+
+    try:
+        check_readout(cfg.noise.readout, circuit.num_qubits)
+    except DimensionError as exc:
+        raise PipelineError("input", f"{path}: {exc}") from exc
 
     try:
         blocks = scan_partition(circuit, cfg.k)

@@ -119,6 +119,26 @@ class TestGateProduct:
             for g, tap in taps.items():
                 assert np.array_equal(tap.reshape(1 << n, 1 << n), chain[g])
             assert np.array_equal(unitary_of(circ), chain[-1])
+            explicit = gate_product(mats, gate_plan(qubit_lists, n), n, start=None)
+            assert explicit.tobytes() == chain[-1].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_start_multiplies_on_the_right(self, n):
+        rng = np.random.default_rng(60 + n)
+        dim = 1 << n
+        circ = random_circuit(rng, n, 12)
+        mats = [gate_matrix(g) for g in circ.gates]
+        plan = gate_plan([g.qubits for g in circ.gates], n)
+        for cols in (1, 3):
+            start = rng.normal(size=(dim, cols)) + 1j * rng.normal(size=(dim, cols))
+            taps = {2: np.empty((2,) * n + (cols,), dtype=complex)}
+            out = gate_product(mats, plan, n, taps, start=start)
+            assert out.shape == (dim, cols) and out.flags.c_contiguous
+            np.testing.assert_allclose(out, gate_product(mats, plan, n) @ start,
+                                       rtol=0, atol=1e-12)
+            prefix = gate_product(mats[:2], gate_plan([g.qubits for g in circ.gates[:2]], n), n)
+            np.testing.assert_allclose(taps[2].reshape(dim, cols), prefix @ start,
+                                       rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_transposed_chain_equals_suffix_loop(self, n):

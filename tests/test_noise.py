@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from peepopt.circuits import Circuit, cx, gate_matrix, rx, u3, unitary_of
+from peepopt import noise as noise_module
+from peepopt.circuits import Circuit, cx, gate_matrix, rx, rz, u3, unitary_of
 from peepopt.noise import (
     DimensionError,
     NoiseModel,
@@ -14,6 +15,7 @@ from peepopt.noise import (
     counts_to_distribution,
     frobenius_distance,
     measure_distribution,
+    _gate_channel,
     sample_counts,
     simulate_density,
 )
@@ -48,6 +50,40 @@ def _dense_reference(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
         p = noise.gate_prob(g.qubits)
         rho = (1 - p) * rho + p / 4**m * sum(pm @ rho @ pm.conj().T for pm in full)
     return rho
+
+
+def _reference_simulate(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
+    """The simulator before run fusion: one ``tensordot`` of each gate's
+    ``_gate_channel`` with rho held as a 2n-axis tensor, gate by gate."""
+    n = circuit.num_qubits
+    dim = 1 << n
+    # Axes (row qubit n-1, ..., row qubit 0, col qubit n-1, ..., col qubit 0).
+    rho = np.zeros((2,) * (2 * n), dtype=complex)
+    rho[(0,) * (2 * n)] = 1.0
+    for g in circuit.gates:
+        m = len(g.qubits)
+        rows = [n - 1 - q for q in g.qubits]
+        axes = rows + [a + n for a in rows]
+        channel = _gate_channel(gate_matrix(g), noise.gate_prob(g.qubits))
+        rho = np.tensordot(channel.reshape((2,) * (4 * m)), rho,
+                           axes=(list(range(2 * m, 4 * m)), axes))
+        rho = np.moveaxis(rho, list(range(2 * m)), axes)
+    return rho.reshape(dim, dim)
+
+
+def _assert_matches_reference(circuit: Circuit, noise: NoiseModel) -> None:
+    np.testing.assert_allclose(simulate_density(circuit, noise),
+                               _reference_simulate(circuit, noise), rtol=0, atol=1e-12)
+
+
+def _brickwork(rng: np.random.Generator, n: int, layers: int) -> Circuit:
+    """U3 on every qubit, then CX.RZ.CX on alternating neighbour pairs, per layer."""
+    gates = []
+    for layer in range(layers):
+        gates += [u3(*rng.uniform(-PI, PI, 3), q) for q in range(n)]
+        for a in range(layer % 2, n - 1, 2):
+            gates += [cx(a, a + 1), rz(rng.uniform(-PI, PI), a + 1), cx(a, a + 1)]
+    return Circuit(n, tuple(gates))
 
 
 class TestNoiseModel:
@@ -120,7 +156,48 @@ class TestSimulateDensity:
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
         assert np.min(np.linalg.eigvalsh(rho)) > -1e-10
 
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("p1, p2", [(0.0, 0.0), (1e-3, 1e-2), (0.1, 0.2)])
+    def test_matches_per_gate_reference(self, n, p1, p2):
+        rng = np.random.default_rng([n, int(p2 * 1000)])
+        noise = NoiseModel(p1=p1, p2=p2, overrides={0: (0.05, 0.03), n - 1: (0.0, 0.3)})
+        for _ in range(3):
+            _assert_matches_reference(random_circuit(rng, n, 24), noise)
+
+    @pytest.mark.parametrize("gates", [
+        (),
+        (cx(0, 1), cx(1, 0), cx(0, 1)),
+        (rx(0.3, 2), cx(2, 0), u3(0.1, 0.2, 0.3, 0), cx(0, 2), rz(0.5, 2)),
+        tuple(rx(0.1 * i, i % 2) for i in range(12)) + (cx(1, 0),)
+        + tuple(u3(0.2, 0.1 * i, 0.3, i % 2) for i in range(9)),
+        # The run open on qubit 1 spans qubit 0, so cx(1, 2) closes it first.
+        (rx(0.4, 0), cx(0, 1), rz(0.7, 1), cx(1, 2), rx(0.2, 0), cx(0, 1)),
+        (rx(0.4, 0), rx(0.5, 2), cx(0, 1), rz(0.6, 1), cx(2, 1), rx(0.7, 0), cx(1, 0)),
+    ], ids=["empty", "cx_both_orders", "non_adjacent", "long_one_qubit_runs",
+            "run_spans_third_qubit", "alternating_pairs"])
+    def test_fusion_edge_cases(self, gates):
+        noise = NoiseModel(p1=0.01, p2=0.05, overrides={1: (0.2, 0.1)})
+        _assert_matches_reference(Circuit(3, gates), noise)
+
+    def test_channels_act_on_at_most_two_qubits(self, monkeypatch):
+        applied = []
+        real = noise_module.gate_product
+
+        def recording(mats, plan, n, taps=None, start=None):
+            applied.append(mats)
+            return real(mats, plan, n, taps, start)
+
+        monkeypatch.setattr(noise_module, "gate_product", recording)
+        rng = np.random.default_rng(5)
+        for n in (3, 5):
+            simulate_density(random_circuit(rng, n, 40), NoiseModel(p1=0.01, p2=0.02))
+        brickwork = _brickwork(rng, 9, 2)
+        assert len(brickwork.gates) == 42
+        simulate_density(brickwork, NoiseModel(p1=0.001, p2=0.01))
+        assert all(m.shape in ((4, 4), (16, 16)) for mats in applied for m in mats)
+        assert len(applied[-1]) <= 10
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_dense_pauli_twirl_reference(self, n):
         rng = np.random.default_rng(30 + n)
         noise = NoiseModel(p1=0.02, p2=0.05,
@@ -157,6 +234,14 @@ class TestMeasureDistribution:
         dist = measure_distribution(rho, (0.1, 0.2))
         # Independent flips: index bit 0 is qubit 0.
         assert dist == pytest.approx([0.9 * 0.8, 0.1 * 0.8, 0.9 * 0.2, 0.1 * 0.2])
+
+    @pytest.mark.parametrize("readout", [(0.0, 0.0, 0.3), (0.3,)])
+    def test_readout_length_must_match_qubits(self, readout):
+        rho = np.zeros((4, 4), dtype=complex)
+        rho[0, 0] = 1.0
+        message = f"readout has {len(readout)} entries for a 2-qubit circuit"
+        with pytest.raises(DimensionError, match=message):
+            measure_distribution(rho, readout)
 
 
 class TestSampling:

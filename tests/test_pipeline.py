@@ -8,7 +8,12 @@ import pytest
 
 from peepopt import pipeline
 from peepopt.cli import main
-from peepopt.noise import NoiseModel, counts_to_distribution
+from peepopt.noise import (
+    NoiseModel,
+    counts_to_distribution,
+    measure_distribution,
+    simulate_density,
+)
 from peepopt.pipeline import (
     PipelineError,
     RunConfig,
@@ -21,6 +26,7 @@ from peepopt.pipeline import (
 )
 from peepopt.qasm import parse_qasm
 from peepopt.recombine import reassemble
+from conftest import random_circuit
 
 TINY = (
     'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\n'
@@ -135,6 +141,27 @@ class TestEvaluate:
         ideal = ideal_distribution(circuit)
         assert ideal.sum() == pytest.approx(1.0, abs=1e-10)
         assert report.baseline_cnots == 3
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 6])
+    def test_ideal_distribution_matches_noiseless_density(self, n):
+        rng = np.random.default_rng(70 + n)
+        for _ in range(3):
+            circuit = random_circuit(rng, n, 20)
+            expected = measure_distribution(simulate_density(circuit, NoiseModel.zero()))
+            np.testing.assert_allclose(ideal_distribution(circuit), expected,
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("readout", [(0.0, 0.0), (0.0, 0.0, 0.0, 0.1)])
+    def test_readout_width_checked_before_expand(self, tiny_qasm, monkeypatch, readout):
+        def no_expand(*args, **kwargs):
+            raise AssertionError("expand ran")
+
+        monkeypatch.setattr(pipeline, "expand_all", no_expand)
+        cfg = fast_config(tiny_qasm, noise=NoiseModel(p1=0.001, readout=readout))
+        with pytest.raises(PipelineError) as exc:
+            evaluate_circuit(str(tiny_qasm), cfg)
+        assert exc.value.stage == "input"
+        assert f"readout has {len(readout)} entries for a 3-qubit circuit" in str(exc.value)
 
     def test_cnot_reduction_empty_and_zero_base(self, tiny_qasm):
         from peepopt.expand import expand_all, OptBudget
@@ -275,6 +302,16 @@ class TestCli:
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert f"error: [recombine] {config}: need at least one block" in err
+
+    def test_readout_width_mismatch_is_pipeline_error(self, tiny_qasm, tmp_path, capsys):
+        noise = tmp_path / "noise.json"
+        noise.write_text(json.dumps({"p1": 0.001, "p2": 0.01, "readout": [0.0, 0.0, 0.0, 0.3]}))
+        assert main(["run", "--circuit", str(tiny_qasm), "--k", "2", "--configs", "basic",
+                     "--noise", str(noise), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: [input] ")
+        assert err[0].endswith("readout has 4 entries for a 3-qubit circuit")
 
     def test_input_error_exit_code(self, tmp_path, capsys):
         assert main(["partition", "--circuit", str(tmp_path / "none.qasm")]) == 1

@@ -39,6 +39,10 @@ class AnnealerConfig:
         if not self.q_a < 1.0:
             # The acceptance probability divides by 1 - q_a.
             raise ValueError(f"q_a must be below 1, got {self.q_a}")
+        # A SeedSequence (one per iterative run) passes; numpy rejects a
+        # negative integer only when the first generator is drawn.
+        if isinstance(self.seed, (int, np.integer)) and self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 _TAIL_LIMIT = 1e8

@@ -5,14 +5,15 @@ significant bit of the computational basis index, so a basis state index is
 ``sum(bit_q << q)``.  Matrices are dense; the largest objects we ever build
 are 2^12 x 2^12.
 
-Every product the library computes goes through one kernel, ``gate_product``:
-it keeps the running product as a tensor in whatever axis order the previous
-gate left it, so each gate costs one permuted copy and one ``np.dot``.  It
-multiplies the identity or a given ``start`` matrix, so it also runs a state
-vector, or vec(rho) under superoperators as a 2n-qubit state (``noise``).
-``apply_unitary`` applies one gate to an existing matrix with the same axis
-convention (``_apply_plan``); no library code calls it, and it stays as the
-single-gate reference the tests hold ``gate_product`` to.
+Gate-list products go through one kernel, ``gate_product``: it keeps the
+running product as a tensor in whatever axis order the previous gate left it,
+so each gate costs one permuted copy and one ``np.dot``.  It multiplies the
+identity or a given ``start`` matrix, so it also runs a state vector, or
+vec(rho) under superoperators as a 2n-qubit state (``noise``).  The fitter in
+``expand`` instead embeds each op as a dense matrix, with index tables built
+from the same axis convention (``_apply_plan``).  ``apply_unitary`` applies
+one gate to an existing matrix with that convention; no library code calls
+it, and it stays as the single-gate reference the tests hold both to.
 """
 from __future__ import annotations
 

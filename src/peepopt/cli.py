@@ -126,16 +126,10 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_recombine(args) -> int:
+    ann_cfg = AnnealerConfig(seed=args.seed)  # a bad seed fails before the cache loads
     approx = ApproximationSet.load(args.cache)
     graph = build_partition_graph(approx.blocks)
-    solutions = recombine(
-        args.name,
-        approx,
-        graph,
-        ObjectiveConfig(),
-        AnnealerConfig(seed=args.seed),
-        args.c,
-    )
+    solutions = recombine(args.name, approx, graph, ObjectiveConfig(), ann_cfg, args.c)
     print(f"{args.name}: {len(solutions)} result circuits")
     if args.out:
         out = Path(args.out)

@@ -3,15 +3,16 @@
 Each partition block gets a candidate list: candidate 0 is always the exact
 original, followed by fitted ansatz circuits with m = 0 .. cnots-1 CX gates
 that land within the keep threshold.  Fitting minimizes the Hilbert-Schmidt
-distance with multi-start finite-difference gradient descent.  Every
-product of template gates goes through ``circuits.gate_product``; a sweep
-that evaluates a point also keeps its prefix products, and the line search
-hands the accepted trial's sweep to the next gradient.
+distance with multi-start gradient descent on the exact gradient.  The fit
+runs the template as dense 2^n x 2^n ops, one matmul each; a sweep that
+evaluates a point also keeps its prefix products, and the line search hands
+the accepted trial's sweep to the next gradient.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .circuits import (
     gate_product,
     u3_matrix,
     unitary_of,
+    _apply_plan,
 )
 from .noise import NoiseModel, block_fidelity_score, simulate_density
 from .partition import PartitionBlock
@@ -105,19 +107,11 @@ class ApproximationSet:
         ]
         candidates = []
         for cands in data["candidates"]:
-            lst = []
-            for c in cands:
-                circ = parse_qasm(c["qasm"])
-                lst.append(
-                    Candidate(
-                        local_circuit=circ,
-                        unitary=unitary_of(circ),
-                        hs_distance=c["hs_distance"],
-                        cnots=c["cnots"],
-                        fidelity_score=c["fidelity_score"],
-                    )
-                )
-            candidates.append(lst)
+            circuits = [parse_qasm(c["qasm"]) for c in cands]
+            candidates.append([
+                Candidate(circ, unitary_of(circ), c["hs_distance"], c["cnots"], c["fidelity_score"])
+                for circ, c in zip(circuits, cands)
+            ])
         return cls(data["num_qubits"], blocks, candidates)
 
 
@@ -183,118 +177,122 @@ class OptBudget:
 
     restarts: int = 8
     max_iters: int = 200
-    fd_step: float = 1e-6
     tol: float = 1e-8
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be non-negative, got {self.max_iters}")
-        if not self.fd_step > 0:
-            raise ValueError(f"fd_step must be positive, got {self.fd_step}")
+        if not isinstance(self.restarts, (int, np.integer)) or self.restarts < 1:
+            raise ValueError(f"restarts must be an integer of at least 1, got {self.restarts}")
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 0:
+            raise ValueError(f"max_iters must be a non-negative integer, got {self.max_iters}")
         if not self.tol >= 0:
             raise ValueError(f"tol must be non-negative, got {self.tol}")
 
 
-class _TraceObjective:
-    """HS distance of an instantiated template to a target, with a cheap
-    finite-difference gradient via prefix/suffix trace factorization.
+_CX_COLS = [0, 1, 3, 2]  # v @ _CX == v[:, _CX_COLS]
+# Added to a stack of U3 angles: the angles as they are, and theta + pi.
+_THETA_SHIFT = np.array([[[0.0, 0.0, 0.0]], [[np.pi, 0.0, 0.0]]])
 
-    ``sweep`` evaluates the distance with ``gate_product`` and copies the
-    prefix before every U3 op into a stack along the way; ``grad`` takes that
-    state, so a line-search trial that is accepted hands its prefixes to the
-    next gradient instead of having them recomputed.
+
+@lru_cache(maxsize=None)
+def _embed_positions(qubits: tuple[int, ...], n: int) -> np.ndarray:
+    """Where an op on ``qubits`` puts its local entries in a ``2^n x 2^n`` matrix.
+
+    Entry ``[r, a, b]`` is the flat position of local entry (a, b) for the
+    r-th setting of the other qubits.  The basis indices come from
+    ``_apply_plan``'s axis order, so the first-listed qubit is the high bit of
+    the local index, as in ``apply_unitary``.
+    """
+    front = _apply_plan(qubits, n)[0][:-1]
+    index = np.arange(1 << n).reshape((2,) * n).transpose(front).reshape(1 << len(qubits), -1).T
+    return (index[:, :, None] << n) + index[:, None, :]
+
+
+def _stack_positions(qubit_lists, k: int, first: int, n: int) -> np.ndarray:
+    """``_embed_positions`` of ops ``first, first + 1, ...`` of a matrix stack."""
+    rest = 1 << max(n - k, 0)  # an empty list may have fewer qubits than k
+    out = np.empty((rest, len(qubit_lists), 1 << k, 1 << k), dtype=np.intp)
+    for g, qubits in enumerate(qubit_lists):
+        out[:, g] = _embed_positions(tuple(qubits), n) + ((first + g) << (2 * n))
+    return out
+
+
+class _TraceObjective:
+    """HS distance of an instantiated template to a target, with its exact gradient.
+
+    The template runs as q + m dense ops: U3 on each qubit, then per CX layer
+    V = (u_a (x) u_b) . CX.  ``sweep`` scatters every op into a stack E of
+    2^n x 2^n matrices and multiplies the prefixes P[g+1] = E[g] . P[g];
+    ``grad`` takes that state, so a line-search trial that is accepted hands
+    its prefixes to the next gradient instead of having them recomputed.
     """
 
     def __init__(self, template: AnsatzTemplate, target: np.ndarray):
-        self.template = template
-        self.ops = template.ops()
-        self.n = template.num_qubits
-        self.dim = 1 << self.n
+        self.n = n = template.num_qubits
+        self.dim = 1 << n
         if target.shape != (self.dim, self.dim):
-            raise ValueError(
-                f"target shape {target.shape} does not match {self.n} qubits"
-            )
-        self.adj_target = np.ascontiguousarray(target.conj().T)
-        # Every parameter belongs to one U3 op; row i of _u3_params holds the
-        # parameter indices (theta, phi, lambda) of the i-th U3 op.
-        self._u3_ops = [g for g, (kind, _, _) in enumerate(self.ops) if kind == "u3"]
-        self._u3_params = np.array(
-            [[off, off + 1, off + 2] for kind, _, off in self.ops if kind == "u3"])
-        # U3 ops grouped by qubit, each group with the einsum spec extracting,
-        # for a gate on that qubit, the 2x2 matrices L with
-        # tr(K . embed(u)) = sum_ab L[a,b] u[a,b].
-        self._l_groups = []
-        letters = "abcdefghijklmnopqrstuv"
-        for qubit in range(self.n):
-            rows = [i for i, g in enumerate(self._u3_ops) if self.ops[g][1] == (qubit,)]
-            if not rows:
-                continue
-            axis = self.n - 1 - qubit
-            row = list(letters[: self.n])
-            col = list(letters[: self.n])
-            row[axis] = "y"  # row S-bit = b
-            col[axis] = "x"  # col S-bit = a
-            spec = "Z" + "".join(row) + "".join(col) + "->Zxy"
-            self._l_groups.append((np.array(rows, dtype=np.intp), spec))
-        qubit_lists = [qubits for _, qubits, _ in self.ops]
-        self._plan = gate_plan(qubit_lists, self.n)
-        self._suffix_plan = gate_plan(qubit_lists[::-1], self.n)
-        self._stack_shape = (len(self._u3_ops),) + (2,) * self.n + (self.dim,)
-        # _suf[i] is the product of the ops after U3 op i.  The suffix chain
-        # runs on transposes, so its taps write through transposed views.
-        self._suf = np.empty((len(self._u3_ops), self.dim, self.dim), dtype=complex)
-        suf_t = self._suf.swapaxes(1, 2).reshape(self._stack_shape)
-        last = len(self.ops) - 1
-        self._suf_taps = dict(zip([last - g for g in self._u3_ops], suf_t))
-
-    def _gate_mats(self, params):
-        u3s = _u3_matrices(params[self._u3_params])
-        mats = [_CX] * len(self.ops)
-        for i, g in enumerate(self._u3_ops):
-            mats[g] = u3s[i]
-        return mats
+            raise ValueError(f"target shape {target.shape} does not match {n} qubits")
+        self.target = np.ascontiguousarray(target, dtype=complex)
+        self._num_ops = n + len(template.cx_pairs)
+        # Scatter positions of the U3 and layer ops, and their transposes,
+        # which gather each op's environment from the stack K in grad.
+        self._u_pos = _stack_positions([(q,) for q in range(n)], 1, 0, n)
+        self._v_pos = _stack_positions(template.cx_pairs, 2, n, n)
+        self._u_env = np.ascontiguousarray(self._u_pos.swapaxes(2, 3))
+        self._v_env = np.ascontiguousarray(self._v_pos.swapaxes(2, 3))
+        # Backward stack R[g] = R[g+1] . E[g] from R[-1] = target^dag.
+        self._back = np.empty((self._num_ops + 1, self.dim, self.dim), dtype=complex)
+        self._back[-1] = self.target.conj().T
 
     def sweep(self, params: np.ndarray, reuse=None) -> tuple[float, tuple]:
         """Distance at ``params`` and the state ``grad`` needs there.
 
-        The state holds ``params``, the gate matrices and the stacked prefix
-        before every U3 op.  A state passed as ``reuse`` is overwritten.
+        The state holds ``params``, the U3 matrices, the op stack E, the
+        prefix stack P and the trace t = Tr(target^dag U).  A state passed as
+        ``reuse`` is overwritten.
         """
-        mats = self._gate_mats(params)
-        pre = np.empty(self._stack_shape, dtype=complex) if reuse is None else reuse[2]
-        mat = gate_product(mats, self._plan, self.n, dict(zip(self._u3_ops, pre)))
-        return 1.0 - abs(np.trace(self.adj_target @ mat)) / self.dim, (params, mats, pre)
-
-    def grad(self, value: float, state: tuple, h: float) -> np.ndarray:
-        """Forward-difference gradient at a swept point, one U3 angle moved at a time.
-
-        The trace with one gate replaced is ``sum_ab L[a,b] u[a,b]`` where L
-        is a partial trace of ``K = prefix . target^dag . suffix``; all U3
-        ops are handled together as stacks of K, L and perturbed gates.
-        """
-        params, mats, pre = state
         n, dim = self.n, self.dim
-        gate_product([u.T for u in reversed(mats)], self._suffix_plan, n, self._suf_taps)
-        grad = np.zeros(self.template.num_params)
-        # A stacked matmul runs each item's product as the 2-D one would.
-        K = pre.reshape(-1, dim, dim) @ self.adj_target @ self._suf
-        # L[i, j] is U3 op i's L, once per angle, each 2x2 stored column-major
-        # as einsum returns a single L; the layout fixes the summation order
-        # of the traces below, so they match gate-at-a-time evaluation.
-        L = np.empty((len(self._u3_ops), 3, 2, 2), dtype=complex).swapaxes(2, 3)
-        for rows, spec in self._l_groups:
-            L[rows] = np.einsum(spec, K[rows].reshape((len(rows),) + (2,) * (2 * n)))[:, None]
-        # steps[i, j] is U3 op i's angles with angle j moved by h.
-        steps = np.repeat(params[self._u3_params][:, None, :], 3, axis=1)
-        diag = np.arange(3)
-        steps[:, diag, diag] += h
-        t = np.einsum("gjab,gjab->gj", L, _u3_matrices(steps))
-        # hypot is abs() of one complex value; np.abs on an array may round
-        # differently.
-        grad[self._u3_params] = ((1.0 - np.hypot(t.real, t.imag) / dim) - value) / h
-        return grad
+        if reuse is None:
+            ops = np.zeros((self._num_ops, dim, dim), dtype=complex)
+            pre = np.empty((self._num_ops + 1, dim, dim), dtype=complex)
+            pre[0] = np.eye(dim)
+        else:
+            ops, pre = reuse[3], reuse[4]
+        # u(theta + pi) / 2 is the theta derivative of u, kept for grad.
+        u, u_pi = _u3_matrices(params.reshape(-1, 3) + _THETA_SHIFT)
+        ua, ub = u[n::2], u[n + 1 :: 2]
+        v = (ua[:, :, None, :, None] * ub[:, None, :, None, :]).reshape(-1, 4, 4)
+        flat = ops.reshape(-1)
+        flat[self._u_pos] = u[:n]
+        flat[self._v_pos] = v[:, :, _CX_COLS]
+        for g in range(self._num_ops):
+            np.dot(ops[g], pre[g], out=pre[g + 1])
+        t = np.vdot(self.target, pre[-1])
+        return 1.0 - abs(t) / dim, (params, u, u_pi, ops, pre, t)
+
+    def grad(self, state: tuple) -> np.ndarray:
+        """Exact gradient at a swept point; zero where the trace t is 0.
+
+        K[g] = P[g] . R[g+1] gives d t = Tr(K[g] . dE[g]), and each op's
+        local environment is a gather-and-sum of K[g] over the other qubits.
+        """
+        params, u, u_pi, ops, pre, t = state
+        n, back = self.n, self._back
+        if t == 0:
+            return np.zeros_like(params)
+        for g in range(self._num_ops - 1, 0, -1):
+            np.dot(back[g + 1], ops[g], out=back[g])
+        flat = np.matmul(pre[:-1], back[1:]).reshape(-1)
+        # env[i] is U3 op i's environment: d t = sum(env[i] * d u[i]).
+        env = np.empty_like(u)
+        env[:n] = flat[self._u_env].sum(0)
+        layer = flat[self._v_env].sum(0)[:, :, _CX_COLS].reshape(-1, 2, 2, 2, 2)
+        env[n::2] = np.einsum("lijkm,ljm->lik", layer, u[n + 1 :: 2])
+        env[n + 1 :: 2] = np.einsum("lijkm,lik->ljm", layer, u[n::2])
+        # d/dtheta u = u(theta + pi) / 2, d/dphi is i x row 1, d/dlambda i x column 1.
+        w = env * u
+        dt = np.stack([0.5 * (env * u_pi).sum((1, 2)),
+                       1j * w[:, 1].sum(1), 1j * w[:, :, 1].sum(1)], axis=1)
+        return -(np.conj(t) * dt).real.reshape(-1) / (abs(t) * self.dim)
 
 
 def _u3_matrices(angles: np.ndarray) -> np.ndarray:
@@ -321,8 +319,8 @@ def optimize_params(
 ) -> tuple[np.ndarray, float]:
     """Fit template parameters to a target unitary under the HS distance.
 
-    Multi-start gradient descent with backtracking line search; gradients
-    are finite differences.  Deterministic given the seed.  The accepted
+    Multi-start gradient descent with backtracking line search on the exact
+    gradient.  Deterministic given the seed.  The accepted
     trial's sweep is the state of the next gradient, so an iteration costs
     one gradient plus one sweep per trial; at most two states (the current
     point's and the trial's) are alive.
@@ -341,7 +339,7 @@ def optimize_params(
         for _ in range(budget.max_iters):
             if value < budget.tol:
                 break
-            grad = obj.grad(value, state, budget.fd_step)
+            grad = obj.grad(state)
             gsq = float(grad @ grad)
             if gsq < 1e-18:
                 break
@@ -400,6 +398,8 @@ def expand_all(
     """Expand every block in order, one after the other."""
     if not d_keep >= 0:
         raise ValueError(f"d_keep must be non-negative, got {d_keep}")
+    if np.any(np.asarray(seed) < 0):
+        raise ValueError(f"seed must be non-negative, got {seed}")
     candidates = [expand_block(b, d_keep, seed, budget) for b in blocks]
     return ApproximationSet(num_qubits, list(blocks), candidates)
 

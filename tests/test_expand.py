@@ -24,7 +24,7 @@ from peepopt.expand import (
     optimize_params,
     score_candidates,
 )
-from peepopt.expand import _CX, _TraceObjective, _u3_matrices
+from peepopt.expand import _CX, _CX_COLS, _TraceObjective, _embed_positions, _u3_matrices
 from peepopt.noise import NoiseModel
 from peepopt.partition import scan_partition
 from peepopt.pipeline import RunConfig
@@ -87,6 +87,72 @@ class TestAnsatz:
         assert t.unitary(params).tobytes() == mat.tobytes()
 
 
+def _random_unitary(rng, q):
+    dim = 1 << q
+    u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return u
+
+
+def _u3_derivatives(theta, phi, lam):
+    """d u3 / d(theta, phi, lambda), written out from ``u3_matrix``."""
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    ep, el, epl = np.exp(1j * phi), np.exp(1j * lam), np.exp(1j * (phi + lam))
+    return (0.5 * np.array([[-s, -el * c], [ep * c, -epl * s]]),
+            np.array([[0, 0], [1j * ep * s, 1j * epl * c]]),
+            np.array([[0, -1j * el * s], [0, 1j * epl * c]]))
+
+
+class _ReferenceObjective:
+    """The distance and its gradient one gate at a time: the value chains
+    ``apply_unitary`` over the template's U3/CX gates, and each U3 angle's
+    derivative contracts the prefix and suffix around that gate with the
+    written-out derivative matrix."""
+
+    def __init__(self, template, target):
+        self.template, self.ops, self.n = template, template.ops(), template.num_qubits
+        self.dim = 1 << self.n
+        self.adj_target = target.conj().T
+
+    def _mats(self, params):
+        return [_CX if kind == "cx" else u3_matrix(*params[off:off + 3])
+                for kind, _, off in self.ops]
+
+    def value(self, params):
+        mat = np.eye(self.dim, dtype=complex)
+        for (_, qubits, _), u in zip(self.ops, self._mats(params)):
+            mat = apply_unitary(mat, u, qubits, self.n)
+        return 1.0 - abs(np.trace(self.adj_target @ mat)) / self.dim
+
+    def value_and_grad(self, params):
+        n, dim, mats = self.n, self.dim, self._mats(params)
+        pre = [np.eye(dim, dtype=complex)]
+        for (_, qubits, _), u in zip(self.ops, mats):
+            pre.append(apply_unitary(pre[-1], u, qubits, n))
+        suf = [np.eye(dim, dtype=complex)]
+        for (_, qubits, _), u in zip(reversed(self.ops), reversed(mats)):
+            suf.insert(0, apply_unitary(suf[0].T, u.T, qubits, n).T)
+        t = np.trace(self.adj_target @ pre[-1])
+        grad = np.zeros(self.template.num_params)
+        letters = "abcdefghijklmnopqrstuv"
+        for g, (kind, qubits, off) in enumerate(self.ops):
+            if kind == "cx" or t == 0:
+                continue
+            # d t = Tr(K . embed(du)) = sum_ab L[a, b] du[a, b].
+            K = pre[g] @ self.adj_target @ suf[g + 1]
+            row, col = list(letters[:n]), list(letters[:n])
+            row[n - 1 - qubits[0]], col[n - 1 - qubits[0]] = "y", "x"
+            L = np.einsum("".join(row) + "".join(col) + "->xy", K.reshape((2,) * (2 * n)))
+            for j, du in enumerate(_u3_derivatives(*params[off:off + 3])):
+                dt = np.sum(L * du)
+                grad[off + j] = -(np.conj(t) * dt).real / (abs(t) * dim)
+        return 1.0 - abs(t) / dim, grad
+
+
+def _central_differences(f, params, h=1e-5):
+    steps = h * np.eye(len(params))
+    return np.array([(f(params + e) - f(params - e)) / (2 * h) for e in steps])
+
+
 class TestTraceObjectiveGradient:
     def test_gradient_matches_naive_finite_differences(self):
         t = ansatz(1, 2)
@@ -94,74 +160,66 @@ class TestTraceObjectiveGradient:
         target = unitary_of(Circuit(2, (cx(0, 1), rx(0.3, 0))))
         obj = _TraceObjective(t, target)
         params = rng.uniform(-np.pi, np.pi, t.num_params)
-        h = 1e-6
-        value, state = obj.sweep(params)
-        grad = obj.grad(value, state, h)
-        for j in range(t.num_params):
-            pert = params.copy()
-            pert[j] += h
-            naive = (obj.sweep(pert)[0] - value) / h
-            assert grad[j] == pytest.approx(naive, abs=1e-6)
+        grad = obj.grad(obj.sweep(params)[1])
+        naive = _central_differences(lambda p: obj.sweep(p)[0], params)
+        assert np.abs(grad - naive).max() <= 1e-8
 
     @pytest.mark.parametrize("m,q", [(3, 3), (5, 4), (0, 1)])
     def test_stacked_gradient_matches_naive_on_wider_templates(self, m, q):
-        # U3 ops on every qubit, gathered per qubit into one partial trace.
+        # U3 ops on every qubit and CX layers on every chain pair.
         t = ansatz(m, q)
         rng = np.random.default_rng(m + 10 * q)
-        dim = 1 << q
-        target, _ = np.linalg.qr(rng.normal(size=(dim, dim))
-                                 + 1j * rng.normal(size=(dim, dim)))
-        obj = _TraceObjective(t, target)
+        obj = _TraceObjective(t, _random_unitary(rng, q))
         params = rng.uniform(-np.pi, np.pi, t.num_params)
-        h = 1e-6
-        value, state = obj.sweep(params)
-        grad = obj.grad(value, state, h)
-        for j in range(t.num_params):
-            pert = params.copy()
-            pert[j] += h
-            naive = (obj.sweep(pert)[0] - value) / h
-            assert grad[j] == pytest.approx(naive, abs=1e-6)
+        grad = obj.grad(obj.sweep(params)[1])
+        naive = _central_differences(lambda p: obj.sweep(p)[0], params)
+        assert np.abs(grad - naive).max() <= 1e-8
 
     @pytest.mark.parametrize("m,q", [(4, 3), (6, 4), (1, 2)])
     def test_stacked_gradient_equals_gate_at_a_time_loop(self, m, q):
-        # Reference: the per-gate loop the stacks replace, with the same
-        # arithmetic, so the gradient must agree bit for bit.
+        # Reference: prefix and suffix products per gate and the written-out
+        # derivative matrices; only the summation order differs.
         t = ansatz(m, q)
         rng = np.random.default_rng(m + 7 * q)
-        dim = 1 << q
-        target, _ = np.linalg.qr(rng.normal(size=(dim, dim))
-                                 + 1j * rng.normal(size=(dim, dim)))
+        target = _random_unitary(rng, q)
         obj = _TraceObjective(t, target)
         params = rng.uniform(-np.pi, np.pi, t.num_params)
-        h = 1e-6
-        ops = t.ops()
-        mats = [_CX if kind == "cx" else u3_matrix(*params[off:off + 3])
-                for kind, _, off in ops]
-        pre = [np.eye(dim, dtype=complex)]
-        for (_, qubits, _), u in zip(ops, mats):
-            pre.append(apply_unitary(pre[-1], u, qubits, q))
-        suf = [np.eye(dim, dtype=complex)]
-        for (_, qubits, _), u in zip(reversed(ops), reversed(mats)):
-            suf.insert(0, apply_unitary(suf[0].T, u.T, qubits, q).T)
-        v0 = 1.0 - abs(np.trace(obj.adj_target @ pre[-1])) / dim
-        letters = "abcdefghijklmnopqrstuv"
-        expected = np.zeros(t.num_params)
-        for g, (kind, qubits, off) in enumerate(ops):
-            if kind == "cx":
-                continue
-            K = pre[g] @ obj.adj_target @ suf[g + 1]
-            row, col = list(letters[:q]), list(letters[:q])
-            row[q - 1 - qubits[0]], col[q - 1 - qubits[0]] = "y", "x"
-            L = np.einsum("".join(row) + "".join(col) + "->xy",
-                          K.reshape((2,) * (2 * q)))
-            for j in range(3):
-                pert = params[off:off + 3].copy()
-                pert[j] += h
-                tj = np.einsum("ab,ab->", L, u3_matrix(*pert))
-                expected[off + j] = ((1.0 - abs(tj) / dim) - v0) / h
         value, state = obj.sweep(params)
-        assert value == v0
-        assert np.array_equal(obj.grad(value, state, h), expected)
+        ref_value, ref_grad = _ReferenceObjective(t, target).value_and_grad(params)
+        assert abs(value - ref_value) <= 1e-14
+        assert np.abs(obj.grad(state) - ref_grad).max() <= 1e-13
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+    def test_sweep_and_gradient_match_the_apply_unitary_loop(self, q):
+        # Every template the fitter builds for k <= 5: m = 0-10 CX layers.
+        for m in range(11 if q > 1 else 1):
+            t = ansatz(m, q)
+            rng = np.random.default_rng([q, m])
+            target = _random_unitary(rng, q)
+            ref, obj = _ReferenceObjective(t, target), _TraceObjective(t, target)
+            params = rng.uniform(-np.pi, np.pi, t.num_params)
+            value, state = obj.sweep(params)
+            assert abs(value - ref.value(params)) <= 1e-13
+            naive = _central_differences(ref.value, params)
+            assert np.abs(obj.grad(state) - naive).max() <= 1e-7
+
+    def test_reused_state_gives_the_same_value_and_gradient(self):
+        t = ansatz(5, 3)
+        rng = np.random.default_rng(4)
+        obj = _TraceObjective(t, _random_unitary(rng, 3))
+        p1, p2 = rng.uniform(-np.pi, np.pi, (2, t.num_params))
+        fresh_value, fresh = obj.sweep(p2)
+        fresh_grad = obj.grad(fresh)
+        value, state = obj.sweep(p2, obj.sweep(p1)[1])
+        assert value == fresh_value
+        assert np.array_equal(obj.grad(state), fresh_grad)
+
+    def test_zero_trace_gives_zero_gradient(self):
+        t = ansatz(2, 2)
+        obj = _TraceObjective(t, np.zeros((4, 4)))
+        value, state = obj.sweep(np.random.default_rng(3).uniform(-np.pi, np.pi, t.num_params))
+        assert value == 1.0
+        assert np.array_equal(obj.grad(state), np.zeros(t.num_params))
 
     def test_stacked_u3_matrices_equal_u3_matrix(self):
         rng = np.random.default_rng(12)
@@ -170,6 +228,45 @@ class TestTraceObjectiveGradient:
         assert stacked.shape == (5, 3, 2, 2)
         for idx in np.ndindex(5, 3):
             assert np.array_equal(stacked[idx], u3_matrix(*angles[idx]))
+
+
+class TestEmbedding:
+    """The index tables that place each op in the dense 2^n x 2^n stack."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_embedded_op_equals_apply_unitary(self, n):
+        rng = np.random.default_rng(n)
+        eye = np.eye(1 << n, dtype=complex)
+        # Both orders of every pair, so a swapped high bit shows.
+        layouts = [(q,) for q in range(n)] + [(a, b) for a in range(n) for b in range(n) if a != b]
+        for qubits in layouts:
+            v = _random_unitary(rng, len(qubits))
+            pos = _embed_positions(qubits, n)
+            embedded = np.zeros((1 << n) ** 2, dtype=complex)
+            embedded[pos] = v
+            assert np.array_equal(embedded.reshape(1 << n, 1 << n),
+                                  apply_unitary(eye, v, qubits, n))
+
+    def test_cx_column_permutation_is_right_multiplication(self):
+        v = _random_unitary(np.random.default_rng(5), 2)
+        assert np.array_equal(v[:, _CX_COLS], v @ _CX)
+
+    @pytest.mark.parametrize("m,q", [(0, 1), (0, 3), (4, 3), (7, 5)])
+    def test_sweep_stack_holds_the_template_ops(self, m, q):
+        # The q U3 ops, then per layer V = (u_a (x) u_b) . CX on its pair.
+        t = ansatz(m, q)
+        params = np.random.default_rng(m + q).uniform(-np.pi, np.pi, t.num_params)
+        _, state = _TraceObjective(t, np.eye(1 << q)).sweep(params)
+        ops = state[3]
+        eye = np.eye(1 << q, dtype=complex)
+        for qubit in range(q):
+            u = u3_matrix(*params[3 * qubit:3 * qubit + 3])
+            assert np.array_equal(ops[qubit], apply_unitary(eye, u, (qubit,), q))
+        for layer, (a, b) in enumerate(t.cx_pairs):
+            off = 3 * q + 6 * layer
+            v = np.kron(u3_matrix(*params[off:off + 3]), u3_matrix(*params[off + 3:off + 6]))
+            assert np.allclose(ops[q + layer], apply_unitary(eye, v @ _CX, (a, b), q),
+                               rtol=0, atol=1e-15)
 
 
 class TestOptimizeParams:
@@ -196,51 +293,11 @@ class TestOptimizeParams:
             _TraceObjective(ansatz(0, 2), np.eye(2))
 
 
-class _ReferenceObjective(_TraceObjective):
-    """The objective before ``sweep``/``grad``: one ``apply_unitary`` call per
-    gate, the prefixes rebuilt for every gradient.  Kept as the reference
-    the new loop must match bit for bit."""
-
-    def value(self, params):
-        dim = self.dim
-        mat = np.eye(dim, dtype=complex)
-        for (kind, qubits, off), u in zip(self.ops, self._gate_mats(params)):
-            mat = apply_unitary(mat, u, qubits, self.n)
-        return 1.0 - abs(np.trace(self.adj_target @ mat)) / dim
-
-    def value_and_grad(self, params, h):
-        n, dim = self.n, self.dim
-        mats = self._gate_mats(params)
-        num_ops = len(self.ops)
-        pre = [None] * (num_ops + 1)
-        pre[0] = np.eye(dim, dtype=complex)
-        for g, ((kind, qubits, off), u) in enumerate(zip(self.ops, mats)):
-            pre[g + 1] = apply_unitary(pre[g], u, qubits, n)
-        suf = [None] * (num_ops + 1)
-        suf[num_ops] = np.eye(dim, dtype=complex)
-        for g in range(num_ops - 1, -1, -1):
-            kind, qubits, off = self.ops[g]
-            suf[g] = apply_unitary(suf[g + 1].T, mats[g].T, qubits, n).T
-        t0 = np.trace(self.adj_target @ pre[num_ops])
-        v0 = 1.0 - abs(t0) / dim
-        grad = np.zeros(self.template.num_params)
-        K = (np.stack([pre[g] for g in self._u3_ops]) @ self.adj_target
-             @ np.stack([suf[g + 1] for g in self._u3_ops]))
-        L = np.empty((len(self._u3_ops), 3, 2, 2), dtype=complex).swapaxes(2, 3)
-        for rows, spec in self._l_groups:
-            L[rows] = np.einsum(spec, K[rows].reshape((len(rows),) + (2,) * (2 * n)))[:, None]
-        steps = np.repeat(params[self._u3_params][:, None, :], 3, axis=1)
-        diag = np.arange(3)
-        steps[:, diag, diag] += h
-        t = np.einsum("gjab,gjab->gj", L, _u3_matrices(steps))
-        grad[self._u3_params] = ((1.0 - np.hypot(t.real, t.imag) / dim) - v0) / h
-        return v0, grad
-
-
 def _reference_optimize(template, target, budget, seed, exits):
-    """``optimize_params`` before the state reuse, counting in ``exits`` how
-    each restart ended and how many restarts ran."""
-    obj = _ReferenceObjective(template, target)
+    """``optimize_params`` without the state reuse: every gradient sweeps its
+    point again.  Counts in ``exits`` how each restart ended and how many
+    restarts ran."""
+    obj = _TraceObjective(template, target)
     base_seed = list(np.atleast_1d(seed).astype(np.int64))
     best_params = None
     best_value = np.inf
@@ -248,13 +305,14 @@ def _reference_optimize(template, target, budget, seed, exits):
         exits["restarts"] += 1
         rng = np.random.default_rng(base_seed + [r])
         params = rng.uniform(-np.pi, np.pi, template.num_params)
-        value = obj.value(params)
+        value = obj.sweep(params)[0]
         step = 0.5
         for _ in range(budget.max_iters):
             if value < budget.tol:
                 exits["tol"] += 1
                 break
-            value, grad = obj.value_and_grad(params, budget.fd_step)
+            value, state = obj.sweep(params)
+            grad = obj.grad(state)
             gsq = float(grad @ grad)
             if gsq < 1e-18:
                 exits["gsq"] += 1
@@ -263,7 +321,7 @@ def _reference_optimize(template, target, budget, seed, exits):
             improved = False
             for _ in range(30):
                 trial = params - s * grad
-                v_new = obj.value(trial)
+                v_new = obj.sweep(trial)[0]
                 if v_new < value - 1e-4 * s * gsq:
                     params, value = trial, v_new
                     improved = True
@@ -280,12 +338,6 @@ def _reference_optimize(template, target, budget, seed, exits):
         if best_value < budget.tol:
             break
     return best_params, float(best_value)
-
-
-def _random_unitary(rng, q):
-    dim = 1 << q
-    u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-    return u
 
 
 def _assert_same_fit(template, target, budget, seed, exits):
@@ -315,14 +367,14 @@ class TestFitMatchesReference:
         assert exits["tol"] == 1 and exits["restarts"] == 1
 
     def test_zero_gradient_exit(self):
-        # Tr(target^dag U) = 0 for every U, so the distance is flat.
+        # Tr(target^dag U) = 0 for every U: the gradient is zero where t = 0.
         exits = Counter()
         _assert_same_fit(ansatz(1, 2), np.zeros((4, 4)), OptBudget(restarts=3), 0, exits)
         assert exits["gsq"] == 3
 
     def test_failed_line_search_exit(self):
-        # With tol = 0 the descent runs until the forward-difference error
-        # stops the Armijo test from passing.
+        # With tol = 0 the descent runs until rounding in the distance, which
+        # cannot fall below about 1e-16, stops the Armijo test from passing.
         exits = Counter()
         budget = OptBudget(restarts=3, max_iters=500, tol=0.0)
         _assert_same_fit(ansatz(0, 1), _exact_target(), budget, 4, exits)
@@ -336,8 +388,8 @@ def _exact_target():
 
 class TestOptBudgetValidation:
     @pytest.mark.parametrize("kwargs", [
-        {"restarts": 0}, {"max_iters": -5}, {"fd_step": 0.0}, {"fd_step": -1e-6},
-        {"fd_step": float("nan")}, {"tol": -1e-8},
+        {"restarts": 0}, {"max_iters": -5}, {"restarts": 2.5}, {"max_iters": 10.5},
+        {"tol": float("nan")}, {"tol": -1e-8},
     ])
     def test_rejects_values_that_break_fitting(self, kwargs):
         with pytest.raises(ValueError):

@@ -71,7 +71,7 @@ class TestRunConfig:
         {"c": 0}, {"epsilon": 0.0}, {"w": 2.0}, {"q_v": 5.0}, {"max_iterations": -1},
         {"initial_temperature": 0.0}, {"q_a": 1.0}, {"q_a": 2.5},
         {"epsilon": math.nan}, {"initial_temperature": math.nan},
-        {"d_keep": math.nan}, {"d_keep": -0.1},
+        {"d_keep": math.nan}, {"d_keep": -0.1}, {"seed": -3},
     ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
     def test_rejects_bad_stage_setting(self, bad):
         (key,) = bad
@@ -273,6 +273,7 @@ class TestCli:
         ({"epsilon": math.nan}, "epsilon must be positive, got nan"),
         ({"initial_temperature": math.nan}, "initial_temperature must be positive, got nan"),
         ({"d_keep": math.nan}, "d_keep must be non-negative, got nan"),
+        ({"seed": -3}, "seed must be non-negative, got -3"),
     ])
     def test_bad_config_file_is_input_error(self, tiny_qasm, tmp_path, capsys,
                                             overrides, message):
@@ -292,6 +293,26 @@ class TestCli:
                      "--out", str(cache), "--d-keep", d_keep]) == 1
         assert "error: d_keep must be non-negative" in capsys.readouterr().err
         assert not cache.exists()
+
+    def test_run_rejects_negative_seed(self, tiny_qasm, tmp_path, capsys):
+        assert main(["run", "--circuit", str(tiny_qasm), "--k", "2", "--configs", "basic",
+                     "--seed", "-1", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: seed must be non-negative, got -1"]
+        assert not (tmp_path / "out").exists()
+
+    def test_expand_rejects_negative_seed(self, tiny_qasm, tmp_path, capsys):
+        cache = tmp_path / "cache.json"
+        assert main(["expand", "--circuit", str(tiny_qasm), "--k", "2",
+                     "--out", str(cache), "--seed", "-2"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: seed must be non-negative, got -2"]
+        assert not cache.exists()
+
+    def test_recombine_rejects_negative_seed(self, tmp_path, capsys):
+        # The seed is checked before the cache is read, so a missing cache
+        # does not mask it.
+        assert main(["recombine", "--cache", str(tmp_path / "none.json"), "--name", "pop",
+                     "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: seed must be non-negative, got -1"]
 
     @pytest.mark.parametrize("config", ["quest", "basic", "basic-err", "pop", "pop-err",
                                         "cascade"])

@@ -369,6 +369,15 @@ class TestObjective:
         with pytest.raises(ValueError, match="q_a must be below 1"):
             AnnealerConfig(q_a=q_a)
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-7)])
+    def test_annealer_rejects_negative_seed(self, seed):
+        with pytest.raises(ValueError, match=f"^seed must be non-negative, got {seed}$"):
+            AnnealerConfig(seed=seed)
+
+    def test_annealer_accepts_a_seed_sequence(self):
+        # The iterative engine derives one SeedSequence per run from the seed.
+        AnnealerConfig(seed=np.random.SeedSequence([0, 3]))
+
     @pytest.mark.parametrize("max_iterations", [0, -5])
     def test_annealer_rejects_non_positive_iterations(self, max_iterations):
         with pytest.raises(ValueError, match="max_iterations"):

@@ -198,18 +198,17 @@ def apply_unitary(mat: np.ndarray, u: np.ndarray, qubits: Sequence[int], n: int)
 @lru_cache(maxsize=None)
 def _step_plan(
     prev: tuple[int, ...], qubits: tuple[int, ...], n: int
-) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
-    """One step of ``gate_product``: ``(perm, rows, logical)``.
+) -> tuple[tuple[int, ...], int]:
+    """One step of ``gate_product``: ``(perm, rows)``.
 
     The running product is a ``(2,)*n + (2^n,)`` tensor whose axes are in
     the front order of ``_apply_plan(prev, n)`` (logical order for ``prev``
-    = ``()``).  ``perm`` brings it to the front order of ``qubits``, ``rows``
-    is the gate's dimension and ``logical`` views the product in logical
-    order.
+    = ``()``).  ``perm`` brings it to the front order of ``qubits`` and
+    ``rows`` is the gate's dimension.
     """
-    order, logical = _apply_plan(prev, n)
+    order, _ = _apply_plan(prev, n)
     front, _ = _apply_plan(qubits, n)
-    return tuple(order.index(a) for a in front), 1 << len(qubits), logical
+    return tuple(order.index(a) for a in front), 1 << len(qubits)
 
 
 def gate_plan(qubit_lists: Sequence[Sequence[int]], n: int) -> tuple[list, tuple[int, ...]]:
@@ -226,7 +225,7 @@ def gate_plan(qubit_lists: Sequence[Sequence[int]], n: int) -> tuple[list, tuple
     return steps, _apply_plan(prev, n)[1]
 
 
-def gate_product(mats: Sequence[np.ndarray], plan, n: int, taps=None,
+def gate_product(mats: Sequence[np.ndarray], plan, n: int,
                  start: np.ndarray | None = None) -> np.ndarray:
     """Return ``embed(u_k) @ ... @ embed(u_1) @ start`` as a contiguous matrix.
 
@@ -238,9 +237,6 @@ def gate_product(mats: Sequence[np.ndarray], plan, n: int, taps=None,
     never move.  Each ``np.dot`` receives the same array that ``apply_unitary``
     would build from the logical product, so from the identity the result is
     bit-identical to chaining ``apply_unitary``.
-
-    ``taps`` maps a gate index to a writable ``(2,)*n + (c,)`` array; the
-    product of the gates before that index is copied into it in logical order.
     """
     steps, back = plan
     dim = 1 << n
@@ -249,10 +245,7 @@ def gate_product(mats: Sequence[np.ndarray], plan, n: int, taps=None,
     cols = start.shape[1]
     shape = (2,) * n + (cols,)
     t = start.reshape(shape)
-    for g, (u, (perm, rows, logical)) in enumerate(zip(mats, steps)):
-        tap = taps.get(g) if taps else None
-        if tap is not None:
-            tap[...] = t.transpose(logical)
+    for u, (perm, rows) in zip(mats, steps):
         t = np.dot(u, t.transpose(perm).reshape(rows, -1)).reshape(shape)
     return t.transpose(back).reshape(dim, cols)
 

@@ -111,13 +111,12 @@ class TestGateProduct:
             mats = [gate_matrix(g) for g in circ.gates]
             qubit_lists = [g.qubits for g in circ.gates]
             chain = _chained(mats, qubit_lists, n)
-            shape = (2,) * n + (1 << n,)
-            taps = {g: np.empty(shape, dtype=complex) for g in range(0, len(mats), 3)}
-            out = gate_product(mats, gate_plan(qubit_lists, n), n, taps)
+            out = gate_product(mats, gate_plan(qubit_lists, n), n)
             assert out.flags.c_contiguous
             assert np.array_equal(out, chain[-1])
-            for g, tap in taps.items():
-                assert np.array_equal(tap.reshape(1 << n, 1 << n), chain[g])
+            for g in range(0, len(mats), 3):
+                prefix = gate_product(mats[:g], gate_plan(qubit_lists[:g], n), n)
+                assert np.array_equal(prefix, chain[g])
             assert np.array_equal(unitary_of(circ), chain[-1])
             explicit = gate_product(mats, gate_plan(qubit_lists, n), n, start=None)
             assert explicit.tobytes() == chain[-1].tobytes()
@@ -131,37 +130,26 @@ class TestGateProduct:
         plan = gate_plan([g.qubits for g in circ.gates], n)
         for cols in (1, 3):
             start = rng.normal(size=(dim, cols)) + 1j * rng.normal(size=(dim, cols))
-            taps = {2: np.empty((2,) * n + (cols,), dtype=complex)}
-            out = gate_product(mats, plan, n, taps, start=start)
+            out = gate_product(mats, plan, n, start=start)
             assert out.shape == (dim, cols) and out.flags.c_contiguous
             np.testing.assert_allclose(out, gate_product(mats, plan, n) @ start,
-                                       rtol=0, atol=1e-12)
-            prefix = gate_product(mats[:2], gate_plan([g.qubits for g in circ.gates[:2]], n), n)
-            np.testing.assert_allclose(taps[2].reshape(dim, cols), prefix @ start,
                                        rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_transposed_chain_equals_suffix_loop(self, n):
-        # The fitter's suffix sweep: S_g = S_{g+1} . embed(u_g), run as the
-        # product of the transposed gates in reverse order, with the taps
-        # writing each S_{g+1} through a transposed view.
+        # The product of the transposed gates in reverse order is the
+        # transposed product: S_g = S_{g+1} . embed(u_g) from the right.
         rng = np.random.default_rng(50 + n)
         dim = 1 << n
         circ = random_circuit(rng, n, 16)
         mats = [gate_matrix(g) for g in circ.gates]
         qubit_lists = [g.qubits for g in circ.gates]
-        suf = [np.eye(dim, dtype=complex)]
+        suf = np.eye(dim, dtype=complex)
         for u, qubits in zip(reversed(mats), reversed(qubit_lists)):
-            suf.insert(0, apply_unitary(suf[0].T, u.T, qubits, n).T)
-        stack = np.empty((len(mats), dim, dim), dtype=complex)
-        views = stack.swapaxes(1, 2).reshape((len(mats),) + (2,) * n + (dim,))
-        last = len(mats) - 1
-        taps = {last - g: views[g] for g in range(len(mats))}
+            suf = apply_unitary(suf.T, u.T, qubits, n).T
         plan = gate_plan(qubit_lists[::-1], n)
-        out = gate_product([u.T for u in reversed(mats)], plan, n, taps)
-        assert np.array_equal(out.T, suf[0])
-        for g in range(len(mats)):
-            assert np.array_equal(stack[g], suf[g + 1])
+        out = gate_product([u.T for u in reversed(mats)], plan, n)
+        assert np.array_equal(out.T, suf)
 
     def test_empty_sequence_is_identity(self):
         for n in (1, 3):

@@ -183,9 +183,9 @@ class TestSimulateDensity:
         applied = []
         real = noise_module.gate_product
 
-        def recording(mats, plan, n, taps=None, start=None):
+        def recording(mats, plan, n, start=None):
             applied.append(mats)
-            return real(mats, plan, n, taps, start)
+            return real(mats, plan, n, start)
 
         monkeypatch.setattr(noise_module, "gate_product", recording)
         rng = np.random.default_rng(5)

@@ -24,6 +24,7 @@ from .circuits import (
     gate_matrix,
     gate_plan,
     gate_product,
+    hs_distance,
     u3_matrix,
     unitary_of,
     _apply_plan,
@@ -189,8 +190,7 @@ class OptBudget:
 
 
 _CX_COLS = [0, 1, 3, 2]  # v @ _CX == v[:, _CX_COLS]
-# Added to a stack of U3 angles: the angles as they are, and theta + pi.
-_THETA_SHIFT = np.array([[[0.0, 0.0, 0.0]], [[np.pi, 0.0, 0.0]]])
+_THETA_SHIFT = np.array([[[0.0, 0.0, 0.0]], [[np.pi, 0.0, 0.0]]])  # angles, and theta + pi
 
 
 @lru_cache(maxsize=None)
@@ -204,16 +204,18 @@ def _embed_positions(qubits: tuple[int, ...], n: int) -> np.ndarray:
     """
     front = _apply_plan(qubits, n)[0][:-1]
     index = np.arange(1 << n).reshape((2,) * n).transpose(front).reshape(1 << len(qubits), -1).T
-    return (index[:, :, None] << n) + index[:, None, :]
+    positions = (index[:, :, None] << n) + index[:, None, :]
+    positions.flags.writeable = False  # the cache hands the same array to every caller
+    return positions
 
 
-def _stack_positions(qubit_lists, k: int, first: int, n: int) -> np.ndarray:
-    """``_embed_positions`` of ops ``first, first + 1, ...`` of a matrix stack."""
+def _stack_positions(qubit_lists, k: int, first: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_embed_positions`` of ops ``first, first + 1, ...`` in a stack, and their transposes."""
     rest = 1 << max(n - k, 0)  # an empty list may have fewer qubits than k
     out = np.empty((rest, len(qubit_lists), 1 << k, 1 << k), dtype=np.intp)
     for g, qubits in enumerate(qubit_lists):
         out[:, g] = _embed_positions(tuple(qubits), n) + ((first + g) << (2 * n))
-    return out
+    return out, np.ascontiguousarray(out.swapaxes(2, 3))
 
 
 class _TraceObjective:
@@ -233,12 +235,8 @@ class _TraceObjective:
             raise ValueError(f"target shape {target.shape} does not match {n} qubits")
         self.target = np.ascontiguousarray(target, dtype=complex)
         self._num_ops = n + len(template.cx_pairs)
-        # Scatter positions of the U3 and layer ops, and their transposes,
-        # which gather each op's environment from the stack K in grad.
-        self._u_pos = _stack_positions([(q,) for q in range(n)], 1, 0, n)
-        self._v_pos = _stack_positions(template.cx_pairs, 2, n, n)
-        self._u_env = np.ascontiguousarray(self._u_pos.swapaxes(2, 3))
-        self._v_env = np.ascontiguousarray(self._v_pos.swapaxes(2, 3))
+        self._u_pos, self._u_env = _stack_positions([(q,) for q in range(n)], 1, 0, n)
+        self._v_pos, self._v_env = _stack_positions(template.cx_pairs, 2, n, n)
         # Backward stack R[g] = R[g+1] . E[g] from R[-1] = target^dag.
         self._back = np.empty((self._num_ops + 1, self.dim, self.dim), dtype=complex)
         self._back[-1] = self.target.conj().T
@@ -259,8 +257,8 @@ class _TraceObjective:
             ops, pre = reuse[3], reuse[4]
         # u(theta + pi) / 2 is the theta derivative of u, kept for grad.
         u, u_pi = _u3_matrices(params.reshape(-1, 3) + _THETA_SHIFT)
-        ua, ub = u[n::2], u[n + 1 :: 2]
-        v = (ua[:, :, None, :, None] * ub[:, None, :, None, :]).reshape(-1, 4, 4)
+        # Layer l is (u_a (x) u_b) . CX with u_a = u[n + 2l] and u_b = u[n + 2l + 1].
+        v = (u[n::2, :, None, :, None] * u[n + 1 :: 2, None, :, None, :]).reshape(-1, 4, 4)
         flat = ops.reshape(-1)
         flat[self._u_pos] = u[:n]
         flat[self._v_pos] = v[:, :, _CX_COLS]
@@ -274,6 +272,7 @@ class _TraceObjective:
 
         K[g] = P[g] . R[g+1] gives d t = Tr(K[g] . dE[g]), and each op's
         local environment is a gather-and-sum of K[g] over the other qubits.
+        The distance 1 - |t|/d then moves by -Re(conj(t) d t) / (|t| d).
         """
         params, u, u_pi, ops, pre, t = state
         n, back = self.n, self._back
@@ -379,12 +378,13 @@ def expand_block(
     base_seed = list(np.atleast_1d(seed).astype(np.int64))
     for m in range(originals_cnots):
         template = ansatz(m, local.num_qubits)
-        params, hs = optimize_params(
-            template, target, budget, seed=base_seed + [block.id, m]
-        )
+        params, _ = optimize_params(template, target, budget, seed=base_seed + [block.id, m])
+        circ = template.instantiate(params)
+        unitary = unitary_of(circ)
+        # As recombine's tables measure it: a fit's error is its distance from the original.
+        hs = hs_distance(target, unitary)
         if hs <= d_keep:
-            circ = template.instantiate(params)
-            out.append(Candidate(circ, unitary_of(circ), hs, m))
+            out.append(Candidate(circ, unitary, hs, m))
     return out
 
 

@@ -28,6 +28,7 @@ from peepopt.expand import _CX, _CX_COLS, _TraceObjective, _embed_positions, _u3
 from peepopt.noise import NoiseModel
 from peepopt.partition import scan_partition
 from peepopt.pipeline import RunConfig
+from peepopt.recombine import ObjectiveTables
 
 FAST = OptBudget(restarts=3, max_iters=80)
 
@@ -445,6 +446,17 @@ class TestExpandBlock:
             target = unitary_of(block.local_circuit)
             assert hs_distance(unitary_of(cand.local_circuit), target) == \
                 pytest.approx(cand.hs_distance, abs=1e-9)
+
+
+    def test_stored_distance_is_the_distance_table_entry(self):
+        # recombine compares a solution's error with its distance from the
+        # original; for a one-block substitution both must be the same number.
+        circ = Circuit(3, (cx(0, 1), rx(0.2, 0), cx(1, 2), rx(0.4, 1), cx(0, 1), cx(1, 2)))
+        (block,) = scan_partition(circ, 3)
+        cands = expand_block(block, 1.0, 0, FAST)
+        assert len(cands) == 5
+        tables = ObjectiveTables.build(ApproximationSet(3, [block], [cands]))
+        assert tables.pair_distances[0][0] == [cand.hs_distance for cand in cands]
 
 
 class TestApproximationSet:

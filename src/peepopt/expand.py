@@ -381,7 +381,7 @@ def expand_block(
         params, _ = optimize_params(template, target, budget, seed=base_seed + [block.id, m])
         circ = template.instantiate(params)
         unitary = unitary_of(circ)
-        # As recombine's tables measure it: a fit's error is its distance from the original.
+        # Computed as recombine's distance tables compute it: error == distance to the original.
         hs = hs_distance(target, unitary)
         if hs <= d_keep:
             out.append(Candidate(circ, unitary, hs, m))

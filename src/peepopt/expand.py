@@ -4,36 +4,36 @@ Each partition block gets a candidate list: candidate 0 is always the exact
 original, followed by fitted ansatz circuits with m = 0 .. cnots-1 CX gates
 that land within the keep threshold.  Fitting minimizes the Hilbert-Schmidt
 distance with multi-start gradient descent on the exact gradient.  The fit
-runs the template as dense 2^n x 2^n ops, one matmul each; a sweep that
-evaluates a point also keeps its prefix products, and the line search hands
-the accepted trial's sweep to the next gradient.
+runs the template as dense 2^n x 2^n ops, one matmul each.
+
+``expand_all`` runs every (block, m) fit of a set at once, in lockstep
+batches: at small n a fit step is mostly fixed NumPy call overhead, which a
+batch pays once for all of its fits.  A batch holds fits of one qubit count
+by descending m.  The ops of ``ansatz(m, n)`` are a prefix of those of
+``ansatz(M, n)``, so op g of the batch is one stacked matmul over the prefix
+slice of fits that have it, without padding.  Each step sweeps every fit's
+next point, then takes the gradients of the fits that asked for one; a fit
+keeps its own seed, line search, exits and restarts, and leaves the batch
+when it ends.  ``BATCH_BYTES`` caps each stacked array of a batch, so a wide
+4-qubit set runs as several batches.  Each fit's trace t and |t| stay
+Python scalars: ``np.abs`` over the batch's traces rounds some |t| one ulp
+away from the scalar ``abs``, and those fits' line searches then take
+other paths.  So a fit returns the same bytes in any batch, alone
+(``optimize_params``, ``expand_block``) or with its whole set.
 """
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .circuits import (
-    Circuit,
-    Gate,
-    GateKind,
-    cnot_count,
-    gate_matrix,
-    gate_plan,
-    gate_product,
-    hs_distance,
-    u3_matrix,
-    unitary_of,
-    _apply_plan,
-)
+from .circuits import Circuit, Gate, GateKind, cnot_count, hs_distance, unitary_of, _apply_plan
 from .noise import NoiseModel, block_fidelity_score, simulate_density
 from .partition import PartitionBlock
 from .qasm import emit_qasm, parse_qasm
-
-_CX = gate_matrix(Gate(GateKind.CX, (), (0, 1)))
 
 
 @dataclass
@@ -151,13 +151,6 @@ class AnsatzTemplate:
                 gates.append(Gate(GateKind.U3, tuple(params[off : off + 3]), qubits))
         return Circuit(self.num_qubits, tuple(gates))
 
-    def unitary(self, params: np.ndarray) -> np.ndarray:
-        ops = self.ops()
-        mats = [_CX if kind == "cx" else u3_matrix(*params[off : off + 3])
-                for kind, _, off in ops]
-        plan = gate_plan([qubits for _, qubits, _ in ops], self.num_qubits)
-        return gate_product(mats, plan, self.num_qubits)
-
 
 def ansatz(m: int, q: int) -> AnsatzTemplate:
     """Template with m CX layers cycling over the linear chain of q qubits."""
@@ -189,8 +182,12 @@ class OptBudget:
             raise ValueError(f"tol must be non-negative, got {self.tol}")
 
 
-_CX_COLS = [0, 1, 3, 2]  # v @ _CX == v[:, _CX_COLS]
+_CX_COLS = [0, 1, 3, 2]  # v @ CX == v[:, _CX_COLS]
 _THETA_SHIFT = np.array([[[0.0, 0.0, 0.0]], [[np.pi, 0.0, 0.0]]])  # angles, and theta + pi
+# Cap on the bytes of one stacked array of a lockstep batch.  It bounds a
+# batch's memory: uncapped, the 4-qubit fits of a set stack megabytes.  A fit
+# whose stack alone is larger still runs, in a batch of its own.
+BATCH_BYTES = 256 * 1024
 
 
 @lru_cache(maxsize=None)
@@ -209,89 +206,211 @@ def _embed_positions(qubits: tuple[int, ...], n: int) -> np.ndarray:
     return positions
 
 
-def _stack_positions(qubit_lists, k: int, first: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_embed_positions`` of ops ``first, first + 1, ...`` in a stack, and their transposes."""
-    rest = 1 << max(n - k, 0)  # an empty list may have fewer qubits than k
-    out = np.empty((rest, len(qubit_lists), 1 << k, 1 << k), dtype=np.intp)
-    for g, qubits in enumerate(qubit_lists):
-        out[:, g] = _embed_positions(tuple(qubits), n) + ((first + g) << (2 * n))
-    return out, np.ascontiguousarray(out.swapaxes(2, 3))
+def _stack_bytes(head: AnsatzTemplate, fits: int) -> int:
+    """Bytes of the prefix stack of ``fits`` fits in a batch headed by ``head``."""
+    n = head.num_qubits
+    return (n + len(head.cx_pairs) + 1) * fits * (16 << (2 * n))
+
+
+def _plan_batches(templates, cap: int = BATCH_BYTES) -> list[list[int]]:
+    """Lockstep batches of fits, as lists of indices into ``templates``.
+
+    A batch holds templates of one width by descending CX count, each one's
+    CX pairs a prefix of the first's (true of every ``ansatz``), so op g of
+    the batch runs on a prefix of its fits.  A fit joins the open batch while
+    the batch's prefix stack stays within ``cap`` bytes; a fit whose own
+    stack is larger runs alone.
+    """
+    order = sorted(range(len(templates)),
+                   key=lambda i: (templates[i].num_qubits, -len(templates[i].cx_pairs)))
+    batches: list[list[int]] = []
+    for i in order:
+        t = templates[i]
+        if batches:
+            head = templates[batches[-1][0]]
+            if (t.num_qubits == head.num_qubits
+                    and head.cx_pairs[: len(t.cx_pairs)] == t.cx_pairs
+                    and _stack_bytes(head, len(batches[-1]) + 1) <= cap):
+                batches[-1].append(i)
+                continue
+        batches.append([i])
+    return batches
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Where the fits of a lockstep batch sit in its stacks.
+
+    Slot j holds a fit with ``depths[j]`` ops, in descending order, so op g
+    runs on slots ``[:counts[g]]``; ``runs`` lists the ranges of ops
+    ``[first, stop)`` that run on the same slots ``[:k]``.  The ``*_rows``
+    index the fits' U3 matrices, which follow each other in slot order (a
+    fit's rows are its parameter triples); ``u_rows`` and ``u_pos`` list the
+    qubit ops by (qubit, slot), ``a_rows``, ``b_rows`` and ``v_pos`` the CX
+    layers by (layer, slot).  The positions are flat indices into an
+    ``(ops, slots, 2^n, 2^n)`` stack with the other qubits' settings first,
+    and ``*_env`` their transposes.
+    """
+
+    depths: list[int]
+    counts: list[int]
+    runs: list[tuple[int, int, int]]
+    u_rows: np.ndarray
+    a_rows: np.ndarray
+    b_rows: np.ndarray
+    u_pos: np.ndarray
+    u_env: np.ndarray
+    v_pos: np.ndarray
+    v_env: np.ndarray
 
 
 class _TraceObjective:
-    """HS distance of an instantiated template to a target, with its exact gradient.
+    """HS distances of a lockstep batch of templates to their targets, with exact gradients.
 
-    The template runs as q + m dense ops: U3 on each qubit, then per CX layer
-    V = (u_a (x) u_b) . CX.  ``sweep`` scatters every op into a stack E of
-    2^n x 2^n matrices and multiplies the prefixes P[g+1] = E[g] . P[g];
-    ``grad`` takes that state, so a line-search trial that is accepted hands
-    its prefixes to the next gradient instead of having them recomputed.
+    A template runs as q + m dense ops: U3 on each qubit, then per CX layer
+    V = (u_a (x) u_b) . CX.  The fits sit in slots by descending CX count
+    (see ``_plan_batches``), so every op g is one stacked ``np.matmul`` over
+    the slice of slots that have it; a stacked matmul rounds as one
+    ``np.dot`` per fit.  ``sweep`` scatters every op into a stack E of shape
+    (ops, slots, 2^n, 2^n) and multiplies the prefixes P[g+1] = E[g] . P[g];
+    ``grad`` takes chosen fits' gradients at that sweep.  Each fit's trace t
+    and |t| stay Python scalars: ``np.abs`` over an array of traces can
+    round |t| differently in the last bit, and a fit's line search then
+    takes another path.
     """
 
-    def __init__(self, template: AnsatzTemplate, target: np.ndarray):
-        self.n = n = template.num_qubits
+    def __init__(self, templates, targets):
+        head = templates[0]
+        self.n = n = head.num_qubits
         self.dim = 1 << n
-        if target.shape != (self.dim, self.dim):
-            raise ValueError(f"target shape {target.shape} does not match {n} qubits")
-        self.target = np.ascontiguousarray(target, dtype=complex)
-        self._num_ops = n + len(template.cx_pairs)
-        self._u_pos, self._u_env = _stack_positions([(q,) for q in range(n)], 1, 0, n)
-        self._v_pos, self._v_env = _stack_positions(template.cx_pairs, 2, n, n)
-        # Backward stack R[g] = R[g+1] . E[g] from R[-1] = target^dag.
-        self._back = np.empty((self._num_ops + 1, self.dim, self.dim), dtype=complex)
-        self._back[-1] = self.target.conj().T
+        self._ms = [len(t.cx_pairs) for t in templates]
+        for t, target in zip(templates, targets):
+            if t.num_qubits != n or head.cx_pairs[: len(t.cx_pairs)] != t.cx_pairs:
+                raise ValueError("batched templates need one width and CX pairs that prefix the first's")
+            if target.shape != (self.dim, self.dim):
+                raise ValueError(f"target shape {target.shape} does not match {n} qubits")
+        if self._ms != sorted(self._ms, reverse=True):
+            raise ValueError("batched templates must come by descending CX count")
+        self.targets = [np.ascontiguousarray(t, dtype=complex) for t in targets]
+        self._adjoints = np.stack([t.conj().T for t in self.targets])
+        # Local positions of the qubit ops and CX layers, other qubits' settings
+        # first, and their transposes: (rest, ops, 2^k, 2^k) each.
+        qubit_pos = np.stack([_embed_positions((q,), n) for q in range(n)], axis=1)
+        pair_pos = np.array([_embed_positions(p, n) for p in head.cx_pairs],
+                            dtype=np.intp).reshape(-1, 1 << max(n - 2, 0), 4, 4).swapaxes(0, 1)
+        self._qubit_pos, self._pair_pos = [
+            (np.ascontiguousarray(p), np.ascontiguousarray(p.swapaxes(2, 3))) for p in (qubit_pos, pair_pos)]
+        self._relayout()
 
-    def sweep(self, params: np.ndarray, reuse=None) -> tuple[float, tuple]:
-        """Distance at ``params`` and the state ``grad`` needs there.
+    def _layout(self, ms: list[int], starts: list[int]) -> _Layout:
+        """The layout of fits with ``ms`` CX layers whose U3 rows begin at ``starts``."""
+        n, size, d2 = self.n, len(ms), 1 << (2 * self.n)
+        depths = [n + m for m in ms]
+        ascending = depths[::-1]
+        counts = [size - bisect_right(ascending, g) for g in range(depths[0])]
+        runs = [(g, g + counts.count(k), k) for g, k in enumerate(counts) if g == 0 or counts[g - 1] != k]
+        starts = np.asarray(starts)
+        u_rows = (np.arange(n)[:, None] + starts).reshape(-1)
+        u_off = ((np.arange(n)[:, None] * size + np.arange(size)) * d2)[:, :, None, None]
+        rest = self._qubit_pos[0].shape[0]
+        u_pos, u_env = [(p[:, :, None] + u_off).reshape(rest, n * size, 2, 2) for p in self._qubit_pos]
+        layer, slot = np.nonzero(np.arange(ms[0])[:, None] < np.asarray(ms))
+        a_rows = starts[slot] + n + 2 * layer
+        v_off = (((n + layer) * size + slot) * d2)[:, None, None]
+        v_pos, v_env = [np.take(p, layer, axis=1) + v_off for p in self._pair_pos]
+        return _Layout(depths, counts, runs, u_rows, a_rows, a_rows + 1, u_pos, u_env, v_pos, v_env)
 
-        The state holds ``params``, the U3 matrices, the op stack E, the
-        prefix stack P and the trace t = Tr(target^dag U).  A state passed as
-        ``reuse`` is overwritten.
-        """
+    def _relayout(self) -> None:
+        """Lay out the current fits and allocate their stacks."""
         n, dim = self.n, self.dim
-        if reuse is None:
-            ops = np.zeros((self._num_ops, dim, dim), dtype=complex)
-            pre = np.empty((self._num_ops + 1, dim, dim), dtype=complex)
-            pre[0] = np.eye(dim)
-        else:
-            ops, pre = reuse[3], reuse[4]
-        # u(theta + pi) / 2 is the theta derivative of u, kept for grad.
-        u, u_pi = _u3_matrices(params.reshape(-1, 3) + _THETA_SHIFT)
-        # Layer l is (u_a (x) u_b) . CX with u_a = u[n + 2l] and u_b = u[n + 2l + 1].
-        v = (u[n::2, :, None, :, None] * u[n + 1 :: 2, None, :, None, :]).reshape(-1, 4, 4)
-        flat = ops.reshape(-1)
-        flat[self._u_pos] = u[:n]
-        flat[self._v_pos] = v[:, :, _CX_COLS]
-        for g in range(self._num_ops):
-            np.dot(ops[g], pre[g], out=pre[g + 1])
-        t = np.vdot(self.target, pre[-1])
-        return 1.0 - abs(t) / dim, (params, u, u_pi, ops, pre, t)
+        self._rows = [n + 2 * m for m in self._ms]
+        self._starts = np.cumsum([0] + self._rows[:-1]).tolist()
+        self._lay = self._layout(self._ms, self._starts)
+        depth, size = self._lay.depths[0], len(self._ms)
+        # Zeros: the scatter writes only each op's nonzero pattern.
+        self.ops = np.zeros((depth, size, dim, dim), dtype=complex)
+        self.pre = np.empty((depth + 1, size, dim, dim), dtype=complex)
+        self.pre[0] = np.eye(dim)
 
-    def grad(self, state: tuple) -> np.ndarray:
-        """Exact gradient at a swept point; zero where the trace t is 0.
+    def keep(self, slots: list[int]) -> None:
+        """Drop every fit but those at ``slots`` (ascending) from the batch."""
+        self.targets = [self.targets[s] for s in slots]
+        self._adjoints = self._adjoints[slots]
+        self._ms = [self._ms[s] for s in slots]
+        self._relayout()
 
-        K[g] = P[g] . R[g+1] gives d t = Tr(K[g] . dE[g]), and each op's
-        local environment is a gather-and-sum of K[g] over the other qubits.
-        The distance 1 - |t|/d then moves by -Re(conj(t) d t) / (|t| d).
+    def sweep(self, points: list[np.ndarray]) -> list[float]:
+        """Each fit's distance at its parameter vector in ``points``.
+
+        Keeps the U3 matrices, the op stack E, the prefix stack P and the
+        traces t = Tr(target^dag U) for ``grad``.
         """
-        params, u, u_pi, ops, pre, t = state
-        n, back = self.n, self._back
-        if t == 0:
-            return np.zeros_like(params)
-        for g in range(self._num_ops - 1, 0, -1):
-            np.dot(back[g + 1], ops[g], out=back[g])
-        flat = np.matmul(pre[:-1], back[1:]).reshape(-1)
-        # env[i] is U3 op i's environment: d t = sum(env[i] * d u[i]).
-        env = np.empty_like(u)
-        env[:n] = flat[self._u_env].sum(0)
-        layer = flat[self._v_env].sum(0)[:, :, _CX_COLS].reshape(-1, 2, 2, 2, 2)
-        env[n::2] = np.einsum("lijkm,ljm->lik", layer, u[n + 1 :: 2])
-        env[n + 1 :: 2] = np.einsum("lijkm,lik->ljm", layer, u[n::2])
+        lay, ops, pre = self._lay, self.ops, self.pre
+        # u(theta + pi) / 2 is the theta derivative of u, kept for grad.
+        u, self._u_pi = _u3_matrices(np.concatenate(points).reshape(-1, 3) + _THETA_SHIFT)
+        self._u = u
+        # A fit's layer l is (u_a (x) u_b) . CX with u_a, u_b its rows n + 2l and n + 2l + 1.
+        v = (u[lay.a_rows, :, None, :, None] * u[lay.b_rows, None, :, None, :]).reshape(-1, 4, 4)
+        flat = ops.reshape(-1)
+        flat[lay.u_pos] = u[lay.u_rows]
+        flat[lay.v_pos] = v[:, :, _CX_COLS]
+        for g, k in enumerate(lay.counts):
+            np.matmul(ops[g, :k], pre[g, :k], out=pre[g + 1, :k])
+        self._traces = [np.vdot(target, pre[depth, slot])
+                        for slot, (target, depth) in enumerate(zip(self.targets, lay.depths))]
+        return [1.0 - abs(t) / self.dim for t in self._traces]
+
+    def grad(self, slots: list[int]) -> list[np.ndarray]:
+        """Exact gradients at the last sweep of the fits at ``slots``
+        (ascending); zero where the trace t is 0.
+
+        Backward stacks R[g] = R[g+1] . E[g] from R[ops] = target^dag and
+        K[g] = P[g] . R[g+1] give d t = Tr(K[g] . dE[g]), and each op's local
+        environment is a gather-and-sum of K[g] over the other qubits.  The
+        distance 1 - |t|/d then moves by -Re(conj(t) d t) / (|t| d).
+        """
+        traces, dim = self._traces, self.dim
+        live = [s for s in slots if traces[s] != 0]
+        if live:
+            dt = self._trace_derivatives(live)
+        grads = []
+        for s in slots:
+            t = traces[s]
+            if t == 0:
+                grads.append(np.zeros(3 * self._rows[s]))
+                continue
+            rows = dt[self._starts[s] : self._starts[s] + self._rows[s]]
+            grads.append(-(np.conj(t) * rows).real.reshape(-1) / (abs(t) * dim))
+        return grads
+
+    def _trace_derivatives(self, live: list[int]) -> np.ndarray:
+        """d t / d(theta, phi, lambda) of every U3 row, zero outside the fits at ``live``."""
+        if len(live) == len(self._ms):
+            lay, ops, pre = self._lay, self.ops, self.pre
+        else:  # gather the live fits into stacks of their own
+            lay = self._layout([self._ms[s] for s in live], [self._starts[s] for s in live])
+            ops, pre = self.ops[:, live], self.pre[:, live]
+        depth, size = lay.depths[0], len(live)
+        back = np.empty((depth + 1, size, self.dim, self.dim), dtype=complex)
+        back[lay.depths, np.arange(size)] = self._adjoints[live]
+        for g in range(depth - 1, 0, -1):
+            k = lay.counts[g]
+            np.matmul(back[g + 1, :k], ops[g, :k], out=back[g, :k])
+        env_stack = np.empty((depth, size, self.dim, self.dim), dtype=complex)
+        for first, stop, k in lay.runs:
+            np.matmul(pre[first:stop, :k], back[first + 1 : stop + 1, :k], out=env_stack[first:stop, :k])
+        flat = env_stack.reshape(-1)
+        u = self._u
+        # env[i] is U3 row i's environment: d t = sum(env[i] * d u[i]).
+        env = np.zeros_like(u)
+        env[lay.u_rows] = flat[lay.u_env].sum(0)
+        layer = flat[lay.v_env].sum(0)[:, :, _CX_COLS].reshape(-1, 2, 2, 2, 2)
+        env[lay.a_rows] = np.einsum("lijkm,ljm->lik", layer, u[lay.b_rows])
+        env[lay.b_rows] = np.einsum("lijkm,lik->ljm", layer, u[lay.a_rows])
         # d/dtheta u = u(theta + pi) / 2, d/dphi is i x row 1, d/dlambda i x column 1.
         w = env * u
-        dt = np.stack([0.5 * (env * u_pi).sum((1, 2)),
-                       1j * w[:, 1].sum(1), 1j * w[:, :, 1].sum(1)], axis=1)
-        return -(np.conj(t) * dt).real.reshape(-1) / (abs(t) * self.dim)
+        return np.stack([0.5 * (env * self._u_pi).sum((1, 2)),
+                         1j * w[:, 1].sum(1), 1j * w[:, :, 1].sum(1)], axis=1)
 
 
 def _u3_matrices(angles: np.ndarray) -> np.ndarray:
@@ -310,6 +429,94 @@ def _u3_matrices(angles: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Fit:
+    """One fit's restarts of gradient descent with a backtracking line search,
+    driven one swept point at a time.
+
+    Restart r starts at a uniform draw from ``default_rng(seed + [r])``.  A
+    restart ends below ``tol``, at a zero gradient, after 30 failed halvings
+    of the step, or after ``max_iters`` steps; the fit ends once its best
+    distance is below ``tol`` or its restarts are spent.
+    """
+
+    def __init__(self, seed, num_params: int, budget: OptBudget):
+        self.seed = list(np.atleast_1d(seed).astype(np.int64))
+        self.num_params, self.budget = num_params, budget
+        self.restart = 0
+        self.best_params, self.best_value = None, np.inf
+        self.done = False
+        self._start()
+
+    def _start(self) -> None:
+        rng = np.random.default_rng(self.seed + [self.restart])
+        self.point = rng.uniform(-np.pi, np.pi, self.num_params)
+        self.searching = False
+
+    def swept(self, value: float) -> bool:
+        """Take the distance at ``point``; True when the gradient there is next."""
+        if self.searching:
+            if not value < self.value - 1e-4 * self.s * self.gsq:  # Armijo test
+                self.s *= 0.5
+                self.tries += 1
+                if self.tries == 30:
+                    self._finish()
+                else:
+                    self.point = self.params - self.s * self.grad
+                return False
+            self.step = min(self.s * 2.0, 2.0)
+            self.iters += 1
+        else:
+            self.step, self.iters = 0.5, 0
+        self.params, self.value = self.point, value
+        if self.iters == self.budget.max_iters or self.value < self.budget.tol:
+            self._finish()
+            return False
+        return True
+
+    def descend(self, grad: np.ndarray) -> None:
+        """Start the line search along the gradient at ``params``."""
+        gsq = float(grad @ grad)
+        if gsq < 1e-18:
+            self._finish()
+            return
+        self.grad, self.gsq, self.s, self.tries = grad, gsq, self.step, 0
+        self.point = self.params - self.s * grad
+        self.searching = True
+
+    def _finish(self) -> None:
+        """End the restart; start the next one unless the fit is done."""
+        if self.value < self.best_value:
+            self.best_value, self.best_params = self.value, self.params.copy()
+        self.restart += 1
+        if self.best_value < self.budget.tol or self.restart == self.budget.restarts:
+            self.done = True
+        else:
+            self._start()
+
+
+def _fit_batch(templates, targets, seeds, budget: OptBudget) -> list[tuple[np.ndarray, float]]:
+    """Run one lockstep batch (see ``_plan_batches``) to its end: (params, distance) per fit.
+
+    Every step sweeps each unfinished fit's next point together, then takes
+    the gradients of the fits that asked for one; a fit leaves the batch
+    when it ends.
+    """
+    obj = _TraceObjective(templates, targets)
+    fits = [_Fit(seed, t.num_params, budget) for t, seed in zip(templates, seeds)]
+    active = fits
+    while active:
+        values = obj.sweep([f.point for f in active])
+        ready = [s for s, (f, v) in enumerate(zip(active, values)) if f.swept(v)]
+        for s, grad in zip(ready, obj.grad(ready)):
+            active[s].descend(grad)
+        slots = [s for s, f in enumerate(active) if not f.done]
+        if len(slots) < len(active):
+            active = [active[s] for s in slots]
+            if active:
+                obj.keep(slots)
+    return [(f.best_params, float(f.best_value)) for f in fits]
+
+
 def optimize_params(
     template: AnsatzTemplate,
     target: np.ndarray,
@@ -319,48 +526,37 @@ def optimize_params(
     """Fit template parameters to a target unitary under the HS distance.
 
     Multi-start gradient descent with backtracking line search on the exact
-    gradient.  Deterministic given the seed.  The accepted
-    trial's sweep is the state of the next gradient, so an iteration costs
-    one gradient plus one sweep per trial; at most two states (the current
-    point's and the trial's) are alive.
+    gradient, deterministic given the seed: a lockstep batch of one fit.
     """
+    return _fit_batch([template], [target], [seed], budget or OptBudget())[0]
+
+
+def _expand(blocks, d_keep: float, seed, budget: OptBudget | None) -> list[list[Candidate]]:
+    """Candidate lists of ``blocks``: the exact original plus the kept fit of
+    every CX budget m below its CX count, by ascending m.  All (block, m)
+    fits run together in lockstep batches, each with seed [seed, block id, m]."""
     budget = budget or OptBudget()
-    obj = _TraceObjective(template, target)
     base_seed = list(np.atleast_1d(seed).astype(np.int64))
-    best_params = None
-    best_value = np.inf
-    state = spare = None
-    for r in range(budget.restarts):
-        rng = np.random.default_rng(base_seed + [r])
-        params = rng.uniform(-np.pi, np.pi, template.num_params)
-        value, state = obj.sweep(params, state)
-        step = 0.5
-        for _ in range(budget.max_iters):
-            if value < budget.tol:
-                break
-            grad = obj.grad(state)
-            gsq = float(grad @ grad)
-            if gsq < 1e-18:
-                break
-            s = step
-            improved = False
-            for _ in range(30):
-                trial = params - s * grad
-                v_new, spare = obj.sweep(trial, spare)
-                if v_new < value - 1e-4 * s * gsq:
-                    params, value = trial, v_new
-                    state, spare = spare, state
-                    improved = True
-                    break
-                s *= 0.5
-            if not improved:
-                break
-            step = min(s * 2.0, 2.0)
-        if value < best_value:
-            best_value, best_params = value, params.copy()
-        if best_value < budget.tol:
-            break
-    return best_params, float(best_value)
+    targets = [unitary_of(b.local_circuit) for b in blocks]
+    jobs = [(b, m) for b, block in enumerate(blocks) for m in range(cnot_count(block.local_circuit))]
+    templates = [ansatz(m, blocks[b].local_circuit.num_qubits) for b, m in jobs]
+    seeds = [base_seed + [blocks[b].id, m] for b, m in jobs]
+    params = [None] * len(jobs)
+    for batch in _plan_batches(templates):
+        fitted = _fit_batch([templates[i] for i in batch], [targets[jobs[i][0]] for i in batch],
+                            [seeds[i] for i in batch], budget)
+        for i, (p, _) in zip(batch, fitted):
+            params[i] = p
+    out = [[Candidate(b.local_circuit, target, 0.0, cnot_count(b.local_circuit))]
+           for b, target in zip(blocks, targets)]
+    for (b, m), template, p in zip(jobs, templates, params):
+        circ = template.instantiate(p)
+        unitary = unitary_of(circ)
+        # Computed as recombine's distance tables compute it: error == distance to the original.
+        hs = hs_distance(targets[b], unitary)
+        if hs <= d_keep:
+            out[b].append(Candidate(circ, unitary, hs, m))
+    return out
 
 
 def expand_block(
@@ -371,21 +567,7 @@ def expand_block(
 ) -> list[Candidate]:
     """Candidates for one block: the exact original plus kept ansatz fits
     for every CX budget below the original count, sorted by ascending m."""
-    local = block.local_circuit
-    target = unitary_of(local)
-    originals_cnots = cnot_count(local)
-    out = [Candidate(local, target, 0.0, originals_cnots)]
-    base_seed = list(np.atleast_1d(seed).astype(np.int64))
-    for m in range(originals_cnots):
-        template = ansatz(m, local.num_qubits)
-        params, _ = optimize_params(template, target, budget, seed=base_seed + [block.id, m])
-        circ = template.instantiate(params)
-        unitary = unitary_of(circ)
-        # Computed as recombine's distance tables compute it: error == distance to the original.
-        hs = hs_distance(target, unitary)
-        if hs <= d_keep:
-            out.append(Candidate(circ, unitary, hs, m))
-    return out
+    return _expand([block], d_keep, seed, budget)[0]
 
 
 def expand_all(
@@ -395,13 +577,12 @@ def expand_all(
     seed=0,
     budget: OptBudget | None = None,
 ) -> ApproximationSet:
-    """Expand every block in order, one after the other."""
+    """Expand every block; the fits of all blocks run in lockstep batches."""
     if not d_keep >= 0:
         raise ValueError(f"d_keep must be non-negative, got {d_keep}")
     if np.any(np.asarray(seed) < 0):
         raise ValueError(f"seed must be non-negative, got {seed}")
-    candidates = [expand_block(b, d_keep, seed, budget) for b in blocks]
-    return ApproximationSet(num_qubits, list(blocks), candidates)
+    return ApproximationSet(num_qubits, list(blocks), _expand(blocks, d_keep, seed, budget))
 
 
 def score_candidates(approx: ApproximationSet, noise) -> None:

@@ -10,12 +10,14 @@ from peepopt.circuits import (
     apply_unitary,
     cnot_count,
     cx,
+    gate_matrix,
     hs_distance,
     rx,
     u3_matrix,
     unitary_of,
 )
 from peepopt.expand import (
+    AnsatzTemplate,
     ApproximationSet,
     OptBudget,
     ansatz,
@@ -24,13 +26,23 @@ from peepopt.expand import (
     optimize_params,
     score_candidates,
 )
-from peepopt.expand import _CX, _CX_COLS, _TraceObjective, _embed_positions, _u3_matrices
+from peepopt.expand import (
+    _CX_COLS,
+    _THETA_SHIFT,
+    _TraceObjective,
+    _embed_positions,
+    _fit_batch,
+    _plan_batches,
+    _stack_bytes,
+    _u3_matrices,
+)
 from peepopt.noise import NoiseModel
 from peepopt.partition import scan_partition
 from peepopt.pipeline import RunConfig
 from peepopt.recombine import ObjectiveTables
 
 FAST = OptBudget(restarts=3, max_iters=80)
+_CX = gate_matrix(cx(0, 1))
 
 
 class TestAnsatz:
@@ -71,11 +83,13 @@ class TestAnsatz:
             ansatz(1, 1)
 
     def test_unitary_matches_instantiated_circuit(self):
+        # The fitter's dense product is the unitary of the circuit it emits.
         t = ansatz(2, 3)
         rng = np.random.default_rng(1)
         params = rng.uniform(-np.pi, np.pi, t.num_params)
-        assert hs_distance(t.unitary(params),
-                           unitary_of(t.instantiate(params))) < 1e-12
+        obj = _TraceObjective([t], [np.eye(8)])
+        obj.sweep([params])
+        assert hs_distance(obj.pre[-1, 0], unitary_of(t.instantiate(params))) < 1e-12
 
     @pytest.mark.parametrize("m,q", [(0, 1), (3, 2), (5, 3), (9, 4)])
     def test_unitary_equals_apply_unitary_loop(self, m, q):
@@ -85,7 +99,7 @@ class TestAnsatz:
         for kind, qubits, off in t.ops():
             u = _CX if kind == "cx" else u3_matrix(*params[off:off + 3])
             mat = apply_unitary(mat, u, qubits, q)
-        assert t.unitary(params).tobytes() == mat.tobytes()
+        assert unitary_of(t.instantiate(params)).tobytes() == mat.tobytes()
 
 
 def _random_unitary(rng, q):
@@ -149,6 +163,18 @@ class _ReferenceObjective:
         return 1.0 - abs(t) / dim, grad
 
 
+def _objective(template, target):
+    """A batch-of-one ``_TraceObjective``: its distance, and its distance and gradient."""
+    obj = _TraceObjective([template], [target])
+
+    def value_and_grad(params):
+        (value,) = obj.sweep([params])
+        (grad,) = obj.grad([0])
+        return value, grad
+
+    return (lambda params: obj.sweep([params])[0]), value_and_grad
+
+
 def _central_differences(f, params, h=1e-5):
     steps = h * np.eye(len(params))
     return np.array([(f(params + e) - f(params - e)) / (2 * h) for e in steps])
@@ -159,10 +185,10 @@ class TestTraceObjectiveGradient:
         t = ansatz(1, 2)
         rng = np.random.default_rng(8)
         target = unitary_of(Circuit(2, (cx(0, 1), rx(0.3, 0))))
-        obj = _TraceObjective(t, target)
+        value, value_and_grad = _objective(t, target)
         params = rng.uniform(-np.pi, np.pi, t.num_params)
-        grad = obj.grad(obj.sweep(params)[1])
-        naive = _central_differences(lambda p: obj.sweep(p)[0], params)
+        grad = value_and_grad(params)[1]
+        naive = _central_differences(value, params)
         assert np.abs(grad - naive).max() <= 1e-8
 
     @pytest.mark.parametrize("m,q", [(3, 3), (5, 4), (0, 1)])
@@ -170,10 +196,10 @@ class TestTraceObjectiveGradient:
         # U3 ops on every qubit and CX layers on every chain pair.
         t = ansatz(m, q)
         rng = np.random.default_rng(m + 10 * q)
-        obj = _TraceObjective(t, _random_unitary(rng, q))
+        value, value_and_grad = _objective(t, _random_unitary(rng, q))
         params = rng.uniform(-np.pi, np.pi, t.num_params)
-        grad = obj.grad(obj.sweep(params)[1])
-        naive = _central_differences(lambda p: obj.sweep(p)[0], params)
+        grad = value_and_grad(params)[1]
+        naive = _central_differences(value, params)
         assert np.abs(grad - naive).max() <= 1e-8
 
     @pytest.mark.parametrize("m,q", [(4, 3), (6, 4), (1, 2)])
@@ -183,12 +209,11 @@ class TestTraceObjectiveGradient:
         t = ansatz(m, q)
         rng = np.random.default_rng(m + 7 * q)
         target = _random_unitary(rng, q)
-        obj = _TraceObjective(t, target)
         params = rng.uniform(-np.pi, np.pi, t.num_params)
-        value, state = obj.sweep(params)
+        value, grad = _objective(t, target)[1](params)
         ref_value, ref_grad = _ReferenceObjective(t, target).value_and_grad(params)
         assert abs(value - ref_value) <= 1e-14
-        assert np.abs(obj.grad(state) - ref_grad).max() <= 1e-13
+        assert np.abs(grad - ref_grad).max() <= 1e-13
 
     @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
     def test_sweep_and_gradient_match_the_apply_unitary_loop(self, q):
@@ -197,30 +222,33 @@ class TestTraceObjectiveGradient:
             t = ansatz(m, q)
             rng = np.random.default_rng([q, m])
             target = _random_unitary(rng, q)
-            ref, obj = _ReferenceObjective(t, target), _TraceObjective(t, target)
+            ref = _ReferenceObjective(t, target)
             params = rng.uniform(-np.pi, np.pi, t.num_params)
-            value, state = obj.sweep(params)
+            value, grad = _objective(t, target)[1](params)
             assert abs(value - ref.value(params)) <= 1e-13
             naive = _central_differences(ref.value, params)
-            assert np.abs(obj.grad(state) - naive).max() <= 1e-7
+            assert np.abs(grad - naive).max() <= 1e-7
 
     def test_reused_state_gives_the_same_value_and_gradient(self):
+        # The stacks live as long as the objective: a sweep over the last
+        # point's state equals one on fresh stacks.
         t = ansatz(5, 3)
         rng = np.random.default_rng(4)
-        obj = _TraceObjective(t, _random_unitary(rng, 3))
+        target = _random_unitary(rng, 3)
         p1, p2 = rng.uniform(-np.pi, np.pi, (2, t.num_params))
-        fresh_value, fresh = obj.sweep(p2)
-        fresh_grad = obj.grad(fresh)
-        value, state = obj.sweep(p2, obj.sweep(p1)[1])
+        fresh_value, fresh_grad = _objective(t, target)[1](p2)
+        value_and_grad = _objective(t, target)[1]
+        value_and_grad(p1)
+        value, grad = value_and_grad(p2)
         assert value == fresh_value
-        assert np.array_equal(obj.grad(state), fresh_grad)
+        assert np.array_equal(grad, fresh_grad)
 
     def test_zero_trace_gives_zero_gradient(self):
         t = ansatz(2, 2)
-        obj = _TraceObjective(t, np.zeros((4, 4)))
-        value, state = obj.sweep(np.random.default_rng(3).uniform(-np.pi, np.pi, t.num_params))
+        params = np.random.default_rng(3).uniform(-np.pi, np.pi, t.num_params)
+        value, grad = _objective(t, np.zeros((4, 4)))[1](params)
         assert value == 1.0
-        assert np.array_equal(obj.grad(state), np.zeros(t.num_params))
+        assert np.array_equal(grad, np.zeros(t.num_params))
 
     def test_stacked_u3_matrices_equal_u3_matrix(self):
         rng = np.random.default_rng(12)
@@ -257,8 +285,9 @@ class TestEmbedding:
         # The q U3 ops, then per layer V = (u_a (x) u_b) . CX on its pair.
         t = ansatz(m, q)
         params = np.random.default_rng(m + q).uniform(-np.pi, np.pi, t.num_params)
-        _, state = _TraceObjective(t, np.eye(1 << q)).sweep(params)
-        ops = state[3]
+        obj = _TraceObjective([t], [np.eye(1 << q)])
+        obj.sweep([params])
+        ops = obj.ops[:, 0]
         eye = np.eye(1 << q, dtype=complex)
         for qubit in range(q):
             u = u3_matrix(*params[3 * qubit:3 * qubit + 3])
@@ -291,14 +320,76 @@ class TestOptimizeParams:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            _TraceObjective(ansatz(0, 2), np.eye(2))
+            _TraceObjective([ansatz(0, 2)], [np.eye(2)])
+
+
+def _op_positions(qubit_lists, k, first, n):
+    """Flat positions of ops ``first, first + 1, ...`` in one fit's op stack, and their transposes."""
+    out = np.empty((1 << max(n - k, 0), len(qubit_lists), 1 << k, 1 << k), dtype=np.intp)
+    for g, qubits in enumerate(qubit_lists):
+        out[:, g] = _embed_positions(tuple(qubits), n) + ((first + g) << (2 * n))
+    return out, np.ascontiguousarray(out.swapaxes(2, 3))
+
+
+class _PerFitObjective:
+    """One fit's distance and exact gradient with one ``np.dot`` per op: the
+    fitter's arithmetic without batches, which the batches must equal bit
+    for bit."""
+
+    def __init__(self, template, target):
+        self.n = n = template.num_qubits
+        self.dim = 1 << n
+        self.target = np.ascontiguousarray(target, dtype=complex)
+        self.num_ops = n + len(template.cx_pairs)
+        self.u_pos, self.u_env = _op_positions([(q,) for q in range(n)], 1, 0, n)
+        self.v_pos, self.v_env = _op_positions(template.cx_pairs, 2, n, n)
+
+    def value(self, params):
+        n, dim = self.n, self.dim
+        ops = np.zeros((self.num_ops, dim, dim), dtype=complex)
+        pre = np.empty((self.num_ops + 1, dim, dim), dtype=complex)
+        pre[0] = np.eye(dim)
+        u, u_pi = _u3_matrices(params.reshape(-1, 3) + _THETA_SHIFT)
+        v = (u[n::2, :, None, :, None] * u[n + 1::2, None, :, None, :]).reshape(-1, 4, 4)
+        flat = ops.reshape(-1)
+        flat[self.u_pos] = u[:n]
+        flat[self.v_pos] = v[:, :, _CX_COLS]
+        for g in range(self.num_ops):
+            np.dot(ops[g], pre[g], out=pre[g + 1])
+        t = np.vdot(self.target, pre[-1])
+        self.state = u, u_pi, ops, pre, t
+        return 1.0 - abs(t) / dim
+
+    def value_and_grad(self, params):
+        value = self.value(params)
+        u, u_pi, ops, pre, t = self.state
+        if t == 0:
+            return value, np.zeros_like(params)
+        n = self.n
+        back = np.empty((self.num_ops + 1, self.dim, self.dim), dtype=complex)
+        back[-1] = self.target.conj().T
+        for g in range(self.num_ops - 1, 0, -1):
+            np.dot(back[g + 1], ops[g], out=back[g])
+        flat = np.matmul(pre[:-1], back[1:]).reshape(-1)
+        env = np.empty_like(u)
+        env[:n] = flat[self.u_env].sum(0)
+        layer = flat[self.v_env].sum(0)[:, :, _CX_COLS].reshape(-1, 2, 2, 2, 2)
+        env[n::2] = np.einsum("lijkm,ljm->lik", layer, u[n + 1::2])
+        env[n + 1::2] = np.einsum("lijkm,lik->ljm", layer, u[n::2])
+        w = env * u
+        dt = np.stack([0.5 * (env * u_pi).sum((1, 2)),
+                       1j * w[:, 1].sum(1), 1j * w[:, :, 1].sum(1)], axis=1)
+        return value, -(np.conj(t) * dt).real.reshape(-1) / (abs(t) * self.dim)
 
 
 def _reference_optimize(template, target, budget, seed, exits):
-    """``optimize_params`` without the state reuse: every gradient sweeps its
-    point again.  Counts in ``exits`` how each restart ended and how many
-    restarts ran."""
-    obj = _TraceObjective(template, target)
+    """The fit as one loop over restarts, steps and halvings, on
+    ``_PerFitObjective``, sweeping each point again for its gradient.
+    Counts in ``exits`` how each restart ended, how many restarts ran, and
+    the sweeps of starts and trials: the lockstep steps the fit spends in a
+    batch."""
+    obj = _PerFitObjective(template, target)
+    value_of, value_and_grad = obj.value, obj.value_and_grad
     base_seed = list(np.atleast_1d(seed).astype(np.int64))
     best_params = None
     best_value = np.inf
@@ -306,14 +397,14 @@ def _reference_optimize(template, target, budget, seed, exits):
         exits["restarts"] += 1
         rng = np.random.default_rng(base_seed + [r])
         params = rng.uniform(-np.pi, np.pi, template.num_params)
-        value = obj.sweep(params)[0]
+        value = value_of(params)
+        exits["steps"] += 1
         step = 0.5
         for _ in range(budget.max_iters):
             if value < budget.tol:
                 exits["tol"] += 1
                 break
-            value, state = obj.sweep(params)
-            grad = obj.grad(state)
+            value, grad = value_and_grad(params)
             gsq = float(grad @ grad)
             if gsq < 1e-18:
                 exits["gsq"] += 1
@@ -322,7 +413,8 @@ def _reference_optimize(template, target, budget, seed, exits):
             improved = False
             for _ in range(30):
                 trial = params - s * grad
-                v_new = obj.sweep(trial)[0]
+                v_new = value_of(trial)
+                exits["steps"] += 1
                 if v_new < value - 1e-4 * s * gsq:
                     params, value = trial, v_new
                     improved = True
@@ -349,7 +441,7 @@ def _assert_same_fit(template, target, budget, seed, exits):
 
 
 class TestFitMatchesReference:
-    """``optimize_params`` returns the reference loop's bytes on every exit."""
+    """Fits return the reference loop's bytes on every exit, alone or in lockstep batches."""
 
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     def test_random_targets(self, q):
@@ -381,10 +473,95 @@ class TestFitMatchesReference:
         _assert_same_fit(ansatz(0, 1), _exact_target(), budget, 4, exits)
         assert exits["line_search"] == 3
 
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_batch_fits_equal_the_reference(self, q, monkeypatch):
+        # One batch of m = 9..0 against four targets each.  Under the first
+        # budget fits leave at max_iters, below tol and at zero gradients;
+        # with tol = 0 the near targets converge until the line search fails.
+        batch_sizes = []
+        sweep = _TraceObjective.sweep
+        monkeypatch.setattr(_TraceObjective, "sweep",
+                            lambda obj, points: batch_sizes.append(len(points)) or sweep(obj, points))
+        exits = Counter()
+        for budget in (OptBudget(restarts=3, max_iters=6), OptBudget(restarts=3, max_iters=6, tol=0.0)):
+            templates, targets, seeds = [], [], []
+            for m in range(9, -1, -1):
+                t = ansatz(m, q)
+                rng = np.random.default_rng([q, m])
+                near = _start(t, [q, m, 2], 0) + 1e-8 * rng.normal(size=t.num_params)
+                for kind, target in enumerate([
+                        _random_unitary(rng, q),
+                        unitary_of(t.instantiate(_start(t, [q, m, 1], 1))),  # restart 1 starts on it
+                        unitary_of(t.instantiate(near)),
+                        np.zeros((1 << q, 1 << q))]):  # t = 0 everywhere
+                    templates.append(t)
+                    targets.append(target)
+                    seeds.append([q, m, kind])
+            batch_sizes.clear()
+            steps = []
+            for t, target, seed, (params, value) in zip(
+                    templates, targets, seeds, _fit_batch(templates, targets, seeds, budget)):
+                fit_exits = Counter()
+                ref_params, ref_value = _reference_optimize(t, target, budget, seed, fit_exits)
+                assert params.tobytes() == ref_params.tobytes()
+                assert value == ref_value
+                steps.append(fit_exits.pop("steps"))
+                exits.update(fit_exits)
+            # Each fit sweeps once per step while in the batch and then leaves.
+            assert batch_sizes == [sum(n > i for n in steps) for i in range(max(steps))]
+            assert len(set(steps)) >= 4
+        assert all(exits[kind] > 0 for kind in ("tol", "gsq", "line_search", "max_iters"))
+
+    def test_expand_all_equals_a_per_block_loop_over_the_reference(self):
+        circ = Circuit(6, (
+            cx(0, 1), rx(0.3, 1), cx(1, 2), rx(0.5, 2), cx(2, 3), rx(0.7, 0), cx(0, 1),
+            cx(4, 5), rx(0.2, 5), cx(3, 4), rx(0.4, 3), cx(4, 5),
+            cx(0, 1), rx(0.6, 0), cx(1, 0),
+        ))
+        blocks = scan_partition(circ, 4)
+        assert [len(b.qubits) for b in blocks] == [4, 3, 2]
+        budget = OptBudget(restarts=2, max_iters=10)
+        approx = expand_all(blocks, 6, 0.5, 5, budget)
+        for block, cands in zip(blocks, approx.candidates):
+            local = block.local_circuit
+            target = unitary_of(local)
+            expected = [(repr(local), repr(0.0), cnot_count(local))]
+            for m in range(cnot_count(local)):
+                t = ansatz(m, local.num_qubits)
+                params, _ = _reference_optimize(t, target, budget, [5, block.id, m], Counter())
+                fitted = t.instantiate(params)
+                hs = hs_distance(target, unitary_of(fitted))
+                if hs <= 0.5:
+                    expected.append((repr(fitted), repr(hs), m))
+            assert [(repr(c.local_circuit), repr(c.hs_distance), c.cnots) for c in cands] == expected
+        assert approx.counts() == (2, 3, 2)  # some fits kept, some dropped
+
 
 def _exact_target():
     t = ansatz(0, 1)
-    return t.unitary(np.random.default_rng(0).uniform(-np.pi, np.pi, t.num_params))
+    return unitary_of(t.instantiate(np.random.default_rng(0).uniform(-np.pi, np.pi, t.num_params)))
+
+
+def _start(template, seed, restart):
+    """The point a fit with ``seed`` starts ``restart`` from."""
+    rng = np.random.default_rng(list(seed) + [restart])
+    return rng.uniform(-np.pi, np.pi, template.num_params)
+
+
+class TestBatchPlan:
+    def test_a_group_over_the_cap_is_split(self):
+        templates = [ansatz(m, 3) for m in range(6)] + [ansatz(m, 2) for m in range(3)]
+        cap = _stack_bytes(ansatz(5, 3), 3)
+        # Widths apart, CX counts descending; three fits headed by m = 5 fill the cap.
+        assert _plan_batches(templates, cap) == [[8, 7, 6], [5, 4, 3], [2, 1, 0]]
+
+    def test_a_lone_fit_over_the_cap_runs_alone(self):
+        templates = [ansatz(0, 4), ansatz(9, 4)]
+        assert _plan_batches(templates, _stack_bytes(ansatz(0, 4), 1)) == [[1], [0]]
+
+    def test_templates_whose_pairs_differ_run_apart(self):
+        templates = [ansatz(2, 3), AnsatzTemplate(3, ((1, 2),))]
+        assert _plan_batches(templates) == [[0], [1]]
 
 
 class TestOptBudgetValidation:

@@ -11,15 +11,17 @@ batches: at small n a fit step is mostly fixed NumPy call overhead, which a
 batch pays once for all of its fits.  A batch holds fits of one qubit count
 by descending m.  The ops of ``ansatz(m, n)`` are a prefix of those of
 ``ansatz(M, n)``, so op g of the batch is one stacked matmul over the prefix
-slice of fits that have it, without padding.  Each step sweeps every fit's
-next point, then takes the gradients of the fits that asked for one; a fit
-keeps its own seed, line search, exits and restarts, and leaves the batch
-when it ends.  ``BATCH_BYTES`` caps each stacked array of a batch, so a wide
-4-qubit set runs as several batches.  Each fit's trace t and |t| stay
-Python scalars: ``np.abs`` over the batch's traces rounds some |t| one ulp
-away from the scalar ``abs``, and those fits' line searches then take
-other paths.  So a fit returns the same bytes in any batch, alone
-(``optimize_params``, ``expand_block``) or with its whole set.
+slice of fits that have it, without padding.  Each fit is one straight-line
+descent (``_descent``) with its own seed, line search, exits and restarts.
+Each step sweeps every fit's next point; when any fit then asks for its
+gradient, the step differentiates the whole batch at once and hands the
+askers theirs.  A fit leaves the batch when it ends.  ``BATCH_BYTES``
+caps each stacked array of a batch, so a wide 4-qubit set runs as several
+batches.  Each fit's trace t and |t| stay Python scalars: ``np.abs`` over
+the batch's traces rounds some |t| one ulp away from the scalar ``abs``,
+and those fits' line searches then take other paths.  So a fit returns the
+same bytes in any batch, alone (``optimize_params``, ``expand_block``) or
+with its whole set.
 """
 from __future__ import annotations
 
@@ -95,25 +97,47 @@ class ApproximationSet:
 
     @classmethod
     def load(cls, path) -> "ApproximationSet":
+        """Read a cache written by ``save``; ValueError if it is not one.
+
+        The cache must hold one non-empty candidate list per block, and
+        every candidate must be as wide as its block.
+        """
         with open(path) as fh:
             data = json.load(fh)
-        blocks = [
-            PartitionBlock(
-                id=b["id"],
-                qubits=tuple(b["qubits"]),
-                local_circuit=parse_qasm(b["qasm"]),
-                gate_span=tuple(b["gate_span"]),
-            )
-            for b in data["blocks"]
-        ]
-        candidates = []
-        for cands in data["candidates"]:
-            circuits = [parse_qasm(c["qasm"]) for c in cands]
-            candidates.append([
-                Candidate(circ, unitary_of(circ), c["hs_distance"], c["cnots"], c["fidelity_score"])
-                for circ, c in zip(circuits, cands)
-            ])
-        return cls(data["num_qubits"], blocks, candidates)
+        num_qubits, block_data, cand_data = _fields(data, ("num_qubits", "blocks", "candidates"), "cache")
+        if not isinstance(block_data, list) or not isinstance(cand_data, list):
+            raise ValueError("cache blocks and candidates must be lists")
+        if len(cand_data) != len(block_data):
+            raise ValueError(f"cache has {len(cand_data)} candidate lists for {len(block_data)} blocks")
+        blocks, candidates = [], []
+        for b, cands in zip(block_data, cand_data):
+            bid, qubits, qasm, span = _fields(b, ("id", "qubits", "qasm", "gate_span"), "cached block")
+            block = PartitionBlock(id=bid, qubits=tuple(qubits), local_circuit=parse_qasm(qasm),
+                                   gate_span=tuple(span))
+            if not isinstance(cands, list) or not cands:
+                raise ValueError(f"cached block {bid} has no candidates")
+            row = []
+            for c in cands:
+                qasm, hs, cnots, score = _fields(
+                    c, ("qasm", "hs_distance", "cnots", "fidelity_score"), f"candidate of cached block {bid}")
+                circ = parse_qasm(qasm)
+                if circ.num_qubits != len(block.qubits):
+                    raise ValueError(f"a candidate of cached block {bid} has {circ.num_qubits} qubits, "
+                                     f"the block {len(block.qubits)}")
+                row.append(Candidate(circ, unitary_of(circ), hs, cnots, score))
+            blocks.append(block)
+            candidates.append(row)
+        return cls(num_qubits, blocks, candidates)
+
+
+def _fields(data, keys: tuple[str, ...], what: str) -> list:
+    """``data``'s values at ``keys``; ValueError unless it is an object holding them all."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise ValueError(f"{what} lacks {', '.join(missing)}")
+    return [data[k] for k in keys]
 
 
 @dataclass(frozen=True)
@@ -273,10 +297,10 @@ class _TraceObjective:
     the slice of slots that have it; a stacked matmul rounds as one
     ``np.dot`` per fit.  ``sweep`` scatters every op into a stack E of shape
     (ops, slots, 2^n, 2^n) and multiplies the prefixes P[g+1] = E[g] . P[g];
-    ``grad`` takes chosen fits' gradients at that sweep.  Each fit's trace t
-    and |t| stay Python scalars: ``np.abs`` over an array of traces can
-    round |t| differently in the last bit, and a fit's line search then
-    takes another path.
+    ``grad`` differentiates the whole batch at that sweep and hands out the
+    gradients of the fits that ask.  Each fit's trace t and |t| stay Python
+    scalars: ``np.abs`` over an array of traces can round |t| differently in
+    the last bit, and a fit's line search then takes another path.
     """
 
     def __init__(self, templates, targets):
@@ -300,16 +324,19 @@ class _TraceObjective:
                             dtype=np.intp).reshape(-1, 1 << max(n - 2, 0), 4, 4).swapaxes(0, 1)
         self._qubit_pos, self._pair_pos = [
             (np.ascontiguousarray(p), np.ascontiguousarray(p.swapaxes(2, 3))) for p in (qubit_pos, pair_pos)]
-        self._relayout()
+        self._layout()
 
-    def _layout(self, ms: list[int], starts: list[int]) -> _Layout:
-        """The layout of fits with ``ms`` CX layers whose U3 rows begin at ``starts``."""
-        n, size, d2 = self.n, len(ms), 1 << (2 * self.n)
+    def _layout(self) -> None:
+        """Lay out the current fits and allocate their stacks."""
+        n, dim, ms = self.n, self.dim, self._ms
+        size, d2 = len(ms), 1 << (2 * n)
+        self._rows = [n + 2 * m for m in ms]
+        starts = np.cumsum([0] + self._rows[:-1])
+        self._starts = starts.tolist()
         depths = [n + m for m in ms]
         ascending = depths[::-1]
         counts = [size - bisect_right(ascending, g) for g in range(depths[0])]
         runs = [(g, g + counts.count(k), k) for g, k in enumerate(counts) if g == 0 or counts[g - 1] != k]
-        starts = np.asarray(starts)
         u_rows = (np.arange(n)[:, None] + starts).reshape(-1)
         u_off = ((np.arange(n)[:, None] * size + np.arange(size)) * d2)[:, :, None, None]
         rest = self._qubit_pos[0].shape[0]
@@ -318,18 +345,10 @@ class _TraceObjective:
         a_rows = starts[slot] + n + 2 * layer
         v_off = (((n + layer) * size + slot) * d2)[:, None, None]
         v_pos, v_env = [np.take(p, layer, axis=1) + v_off for p in self._pair_pos]
-        return _Layout(depths, counts, runs, u_rows, a_rows, a_rows + 1, u_pos, u_env, v_pos, v_env)
-
-    def _relayout(self) -> None:
-        """Lay out the current fits and allocate their stacks."""
-        n, dim = self.n, self.dim
-        self._rows = [n + 2 * m for m in self._ms]
-        self._starts = np.cumsum([0] + self._rows[:-1]).tolist()
-        self._lay = self._layout(self._ms, self._starts)
-        depth, size = self._lay.depths[0], len(self._ms)
+        self._lay = _Layout(depths, counts, runs, u_rows, a_rows, a_rows + 1, u_pos, u_env, v_pos, v_env)
         # Zeros: the scatter writes only each op's nonzero pattern.
-        self.ops = np.zeros((depth, size, dim, dim), dtype=complex)
-        self.pre = np.empty((depth + 1, size, dim, dim), dtype=complex)
+        self.ops = np.zeros((depths[0], size, dim, dim), dtype=complex)
+        self.pre = np.empty((depths[0] + 1, size, dim, dim), dtype=complex)
         self.pre[0] = np.eye(dim)
 
     def keep(self, slots: list[int]) -> None:
@@ -337,7 +356,7 @@ class _TraceObjective:
         self.targets = [self.targets[s] for s in slots]
         self._adjoints = self._adjoints[slots]
         self._ms = [self._ms[s] for s in slots]
-        self._relayout()
+        self._layout()
 
     def sweep(self, points: list[np.ndarray]) -> list[float]:
         """Each fit's distance at its parameter vector in ``points``.
@@ -367,12 +386,12 @@ class _TraceObjective:
         Backward stacks R[g] = R[g+1] . E[g] from R[ops] = target^dag and
         K[g] = P[g] . R[g+1] give d t = Tr(K[g] . dE[g]), and each op's local
         environment is a gather-and-sum of K[g] over the other qubits.  The
-        distance 1 - |t|/d then moves by -Re(conj(t) d t) / (|t| d).
+        distance 1 - |t|/d then moves by -Re(conj(t) d t) / (|t| d).  The
+        stacks run over the whole batch whichever fits ask: a fit's gradient
+        has the same bytes in any batch.
         """
         traces, dim = self._traces, self.dim
-        live = [s for s in slots if traces[s] != 0]
-        if live:
-            dt = self._trace_derivatives(live)
+        dt = self._trace_derivatives() if slots else None
         grads = []
         for s in slots:
             t = traces[s]
@@ -383,16 +402,12 @@ class _TraceObjective:
             grads.append(-(np.conj(t) * rows).real.reshape(-1) / (abs(t) * dim))
         return grads
 
-    def _trace_derivatives(self, live: list[int]) -> np.ndarray:
-        """d t / d(theta, phi, lambda) of every U3 row, zero outside the fits at ``live``."""
-        if len(live) == len(self._ms):
-            lay, ops, pre = self._lay, self.ops, self.pre
-        else:  # gather the live fits into stacks of their own
-            lay = self._layout([self._ms[s] for s in live], [self._starts[s] for s in live])
-            ops, pre = self.ops[:, live], self.pre[:, live]
-        depth, size = lay.depths[0], len(live)
+    def _trace_derivatives(self) -> np.ndarray:
+        """d t / d(theta, phi, lambda) of every U3 row of the batch."""
+        lay, ops, pre = self._lay, self.ops, self.pre
+        depth, size = lay.depths[0], len(self._ms)
         back = np.empty((depth + 1, size, self.dim, self.dim), dtype=complex)
-        back[lay.depths, np.arange(size)] = self._adjoints[live]
+        back[lay.depths, np.arange(size)] = self._adjoints
         for g in range(depth - 1, 0, -1):
             k = lay.counts[g]
             np.matmul(back[g + 1, :k], ops[g, :k], out=back[g, :k])
@@ -402,7 +417,7 @@ class _TraceObjective:
         flat = env_stack.reshape(-1)
         u = self._u
         # env[i] is U3 row i's environment: d t = sum(env[i] * d u[i]).
-        env = np.zeros_like(u)
+        env = np.empty_like(u)
         env[lay.u_rows] = flat[lay.u_env].sum(0)
         layer = flat[lay.v_env].sum(0)[:, :, _CX_COLS].reshape(-1, 2, 2, 2, 2)
         env[lay.a_rows] = np.einsum("lijkm,ljm->lik", layer, u[lay.b_rows])
@@ -429,92 +444,82 @@ def _u3_matrices(angles: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Fit:
-    """One fit's restarts of gradient descent with a backtracking line search,
-    driven one swept point at a time.
+def _descent(seed, num_params: int, budget: OptBudget):
+    """One fit's restarts of gradient descent with a backtracking line search.
 
-    Restart r starts at a uniform draw from ``default_rng(seed + [r])``.  A
-    restart ends below ``tol``, at a zero gradient, after 30 failed halvings
-    of the step, or after ``max_iters`` steps; the fit ends once its best
-    distance is below ``tol`` or its restarts are spent.
+    A generator: it yields each point to sweep and is sent its distance, or
+    yields None and is sent the gradient at the last point it was sent a
+    distance for; it returns (best params, best distance).  Restart r starts
+    at a uniform draw from ``default_rng(seed + [r])``.  A restart ends below
+    ``tol``, at a zero gradient, after 30 failed halvings of the step, or
+    after ``max_iters`` steps; the fit ends once its best distance is below
+    ``tol`` or its restarts are spent.
     """
+    base_seed = list(np.atleast_1d(seed).astype(np.int64))
+    best_params, best_value = None, np.inf
+    for r in range(budget.restarts):
+        params = np.random.default_rng(base_seed + [r]).uniform(-np.pi, np.pi, num_params)
+        value = yield params
+        step = 0.5
+        for _ in range(budget.max_iters):
+            if value < budget.tol:
+                break
+            grad = yield None
+            gsq = float(grad @ grad)
+            if gsq < 1e-18:
+                break
+            s = step
+            for _ in range(30):
+                trial = params - s * grad
+                trial_value = yield trial
+                if trial_value < value - 1e-4 * s * gsq:  # Armijo test
+                    params, value = trial, trial_value
+                    break
+                s *= 0.5
+            else:
+                break
+            step = min(s * 2.0, 2.0)
+        if value < best_value:
+            best_value, best_params = value, params.copy()
+        if best_value < budget.tol:
+            break
+    return best_params, float(best_value)
 
-    def __init__(self, seed, num_params: int, budget: OptBudget):
-        self.seed = list(np.atleast_1d(seed).astype(np.int64))
-        self.num_params, self.budget = num_params, budget
-        self.restart = 0
-        self.best_params, self.best_value = None, np.inf
-        self.done = False
-        self._start()
 
-    def _start(self) -> None:
-        rng = np.random.default_rng(self.seed + [self.restart])
-        self.point = rng.uniform(-np.pi, np.pi, self.num_params)
-        self.searching = False
-
-    def swept(self, value: float) -> bool:
-        """Take the distance at ``point``; True when the gradient there is next."""
-        if self.searching:
-            if not value < self.value - 1e-4 * self.s * self.gsq:  # Armijo test
-                self.s *= 0.5
-                self.tries += 1
-                if self.tries == 30:
-                    self._finish()
-                else:
-                    self.point = self.params - self.s * self.grad
-                return False
-            self.step = min(self.s * 2.0, 2.0)
-            self.iters += 1
-        else:
-            self.step, self.iters = 0.5, 0
-        self.params, self.value = self.point, value
-        if self.iters == self.budget.max_iters or self.value < self.budget.tol:
-            self._finish()
-            return False
-        return True
-
-    def descend(self, grad: np.ndarray) -> None:
-        """Start the line search along the gradient at ``params``."""
-        gsq = float(grad @ grad)
-        if gsq < 1e-18:
-            self._finish()
-            return
-        self.grad, self.gsq, self.s, self.tries = grad, gsq, self.step, 0
-        self.point = self.params - self.s * grad
-        self.searching = True
-
-    def _finish(self) -> None:
-        """End the restart; start the next one unless the fit is done."""
-        if self.value < self.best_value:
-            self.best_value, self.best_params = self.value, self.params.copy()
-        self.restart += 1
-        if self.best_value < self.budget.tol or self.restart == self.budget.restarts:
-            self.done = True
-        else:
-            self._start()
+def _send(fit, reply):
+    """The fit's next request after ``reply``: a point, None, or its result."""
+    try:
+        return fit.send(reply)
+    except StopIteration as end:
+        return end.value
 
 
 def _fit_batch(templates, targets, seeds, budget: OptBudget) -> list[tuple[np.ndarray, float]]:
     """Run one lockstep batch (see ``_plan_batches``) to its end: (params, distance) per fit.
 
     Every step sweeps each unfinished fit's next point together, then takes
-    the gradients of the fits that asked for one; a fit leaves the batch
+    the gradients of the fits that ask for one; a fit leaves the batch
     when it ends.
     """
     obj = _TraceObjective(templates, targets)
-    fits = [_Fit(seed, t.num_params, budget) for t, seed in zip(templates, seeds)]
-    active = fits
-    while active:
-        values = obj.sweep([f.point for f in active])
-        ready = [s for s, (f, v) in enumerate(zip(active, values)) if f.swept(v)]
-        for s, grad in zip(ready, obj.grad(ready)):
-            active[s].descend(grad)
-        slots = [s for s, f in enumerate(active) if not f.done]
-        if len(slots) < len(active):
-            active = [active[s] for s in slots]
-            if active:
+    fits = [_descent(seed, t.num_params, budget) for t, seed in zip(templates, seeds)]
+    results = [None] * len(fits)
+    live = list(range(len(fits)))  # the fit in each slot of obj
+    requests = [next(f) for f in fits]
+    while live:
+        requests = [_send(fits[i], value) for i, value in zip(live, obj.sweep(requests))]
+        asks = [s for s, r in enumerate(requests) if r is None]
+        for s, grad in zip(asks, obj.grad(asks)):
+            requests[s] = _send(fits[live[s]], grad)
+        slots = [s for s, r in enumerate(requests) if isinstance(r, np.ndarray)]
+        if len(slots) < len(live):
+            for s, r in enumerate(requests):
+                if isinstance(r, tuple):
+                    results[live[s]] = r
+            live, requests = [live[s] for s in slots], [requests[s] for s in slots]
+            if live:
                 obj.keep(slots)
-    return [(f.best_params, float(f.best_value)) for f in fits]
+    return results
 
 
 def optimize_params(

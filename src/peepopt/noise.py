@@ -67,10 +67,18 @@ class NoiseModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NoiseModel":
-        overrides = {
-            int(q): (float(v["p1"]), float(v["p2"]))
-            for q, v in (data.get("overrides") or {}).items()
-        }
+        """A model from JSON data; ValueError unless it is an object whose
+        overrides map qubits to objects with p1 and p2."""
+        if not isinstance(data, dict):
+            raise ValueError(f"noise model must be a JSON object, got {type(data).__name__}")
+        given = data.get("overrides") or {}
+        if not isinstance(given, dict):
+            raise ValueError(f"noise overrides must be a JSON object, got {type(given).__name__}")
+        overrides = {}
+        for q, v in given.items():
+            if not (isinstance(v, dict) and "p1" in v and "p2" in v):
+                raise ValueError(f"noise override of qubit {q} must be an object with p1 and p2, got {v!r}")
+            overrides[int(q)] = (float(v["p1"]), float(v["p2"]))
         readout = data.get("readout")
         return cls(
             p1=float(data.get("p1", 0.0)),
@@ -268,9 +276,17 @@ def sample_counts(dist: np.ndarray, shots: int, seed) -> dict[str, int]:
 
 
 def counts_to_distribution(counts: dict[str, int], num_qubits: int) -> np.ndarray:
-    """Normalize a counts map back into a dense probability vector."""
+    """Normalize a counts map back into a dense probability vector.
+
+    ValueError unless ``counts`` is an object keyed by bitstrings of at most
+    ``num_qubits`` bits.
+    """
+    if not isinstance(counts, dict):
+        raise ValueError(f"counts must be a JSON object, got {type(counts).__name__}")
     dist = np.zeros(1 << num_qubits)
     for bits, c in counts.items():
+        if not 0 < len(bits) <= num_qubits or bits.strip("01"):
+            raise ValueError(f"'{bits}' is not a bitstring of at most {num_qubits} bits")
         dist[int(bits, 2)] += c
     total = dist.sum()
     if total == 0:

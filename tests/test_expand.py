@@ -250,6 +250,30 @@ class TestTraceObjectiveGradient:
         assert value == 1.0
         assert np.array_equal(grad, np.zeros(t.num_params))
 
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_asked_gradients_equal_batches_of_one(self, q):
+        # Fit 4's t is 0.  In each round some slots ask for gradients and the
+        # others only sweep, as a fit in a line search does; each asked
+        # gradient has the bytes of the same fit's as a batch of one, before
+        # and after fits leave the batch.
+        ms = [7, 5, 5, 3, 2, 0]
+        templates = [ansatz(m, q) for m in ms]
+        rng = np.random.default_rng(q)
+        targets = [_random_unitary(rng, q) for _ in ms]
+        targets[4] = np.zeros((1 << q, 1 << q))
+        obj = _TraceObjective(templates, targets)
+        fits = list(range(len(ms)))  # the fit in each slot
+        for kept, asks in (None, [1, 2, 4]), ([1, 2, 4, 5], [0, 2, 3]):
+            if kept:
+                obj.keep(kept)
+                fits = [fits[s] for s in kept]
+            points = [rng.uniform(-np.pi, np.pi, templates[i].num_params) for i in fits]
+            obj.sweep(points)
+            for s, grad in zip(asks, obj.grad(asks)):
+                alone = _TraceObjective([templates[fits[s]]], [targets[fits[s]]])
+                alone.sweep([points[s]])
+                assert grad.tobytes() == alone.grad([0])[0].tobytes()
+
     def test_stacked_u3_matrices_equal_u3_matrix(self):
         rng = np.random.default_rng(12)
         angles = rng.uniform(-4 * np.pi, 4 * np.pi, (5, 3, 3))

@@ -217,6 +217,11 @@ class TestRunPipeline:
         assert len(csv) == 1 + len(cfg.configs)
 
 
+def _edited(edit):
+    """A function that applies ``edit`` to JSON data in place and returns the data."""
+    return lambda data: (edit(data), data)[1]
+
+
 class TestCli:
     def test_partition_verb(self, tiny_qasm, capsys):
         assert main(["partition", "--circuit", str(tiny_qasm), "--k", "2"]) == 0
@@ -333,6 +338,63 @@ class TestCli:
         assert len(err) == 1
         assert err[0].startswith("error: [input] ")
         assert err[0].endswith("readout has 4 entries for a 3-qubit circuit")
+
+    @staticmethod
+    def _cache(path):
+        """A valid cache of TINY at k = 2, as JSON data; written to ``path``."""
+        from peepopt.expand import expand_all, OptBudget
+        from peepopt.partition import scan_partition
+        blocks = scan_partition(parse_qasm(TINY), 2)
+        expand_all(blocks, 3, 0.3, 0, OptBudget(restarts=1, max_iters=20)).save(path)
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda d: [d], "cache must be a JSON object, got list"),
+        (_edited(lambda d: d.pop("num_qubits")), "cache lacks num_qubits"),
+        (_edited(lambda d: d.pop("blocks")), "cache lacks blocks"),
+        (_edited(lambda d: d.pop("candidates")), "cache lacks candidates"),
+        (_edited(lambda d: d["candidates"][0][0].pop("cnots")), "candidate of cached block 0 lacks cnots"),
+        (_edited(lambda d: d["candidates"][1].clear()), "cached block 1 has no candidates"),
+        (_edited(lambda d: d["candidates"].pop()), "cache has 2 candidate lists for 3 blocks"),
+        (_edited(lambda d: d["candidates"].append([])), "cache has 4 candidate lists for 3 blocks"),
+        (_edited(lambda d: d["candidates"][0][0].update(qasm=TINY)),
+         "a candidate of cached block 0 has 3 qubits, the block 2"),
+    ], ids=["not-object", "no-num-qubits", "no-blocks", "no-candidates", "no-candidate-key",
+            "empty-block", "list-short", "list-long", "wide-candidate"])
+    def test_recombine_rejects_a_malformed_cache(self, tmp_path, capsys, damage, message):
+        cache = tmp_path / "cache.json"
+        data = self._cache(cache)
+        assert len(data["blocks"]) == 3
+        cache.write_text(json.dumps(damage(data)))
+        assert main(["recombine", "--cache", str(cache), "--name", "basic", "--c", "2"]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("noise, message", [
+        ([0.001, 0.01], "noise model must be a JSON object, got list"),
+        ({"p1": 0.001, "overrides": [0.1]}, "noise overrides must be a JSON object, got list"),
+        ({"overrides": {"0": 0.1}}, "noise override of qubit 0 must be an object with p1 and p2, got 0.1"),
+        ({"overrides": {"0": {"p1": 0.1}}},
+         "noise override of qubit 0 must be an object with p1 and p2, got {'p1': 0.1}"),
+    ], ids=["not-object", "overrides-not-object", "override-not-object", "override-without-p2"])
+    def test_run_rejects_a_malformed_noise_file(self, tiny_qasm, tmp_path, capsys, noise, message):
+        path = tmp_path / "noise.json"
+        path.write_text(json.dumps(noise))
+        assert main(["run", "--circuit", str(tiny_qasm), "--k", "2", "--configs", "basic",
+                     "--noise", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("counts, message", [
+        (["00", "01"], "counts must be a JSON object, got list"),
+        ({"00": 3, "100": 1}, "'100' is not a bitstring of at most 2 bits"),
+        ({"-1": 3}, "'-1' is not a bitstring of at most 2 bits"),
+    ], ids=["not-object", "too-long", "not-bits"])
+    def test_metrics_rejects_malformed_counts(self, tmp_path, capsys, counts, message):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps({"00": 1}))
+        bad.write_text(json.dumps(counts))
+        assert main(["metrics", str(good), str(bad), "--qubits", "2"]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
     def test_input_error_exit_code(self, tmp_path, capsys):
         assert main(["partition", "--circuit", str(tmp_path / "none.qasm")]) == 1

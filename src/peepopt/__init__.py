@@ -15,6 +15,7 @@ from .noise import (
     measure_distribution,
     sample_counts,
     simulate_density,
+    simulate_distribution,
 )
 from .partition import (
     PartitionBlock,

@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circuits import Circuit, Gate, GateKind, cnot_count, hs_distance, unitary_of, _apply_plan
-from .noise import NoiseModel, block_fidelity_score, simulate_density
+from .noise import NoiseModel, _number, block_fidelity_score, simulate_density
 from .partition import PartitionBlock
 from .qasm import emit_qasm, parse_qasm
 
@@ -99,12 +99,14 @@ class ApproximationSet:
     def load(cls, path) -> "ApproximationSet":
         """Read a cache written by ``save``; ValueError if it is not one.
 
-        The cache must hold one non-empty candidate list per block, and
-        every candidate must be as wide as its block.
+        The cache must hold one non-empty candidate list per block, every
+        value must have its JSON type, every candidate must be as wide as
+        its block, and its ``cnots`` must be its circuit's CX count.
         """
         with open(path) as fh:
             data = json.load(fh)
         num_qubits, block_data, cand_data = _fields(data, ("num_qubits", "blocks", "candidates"), "cache")
+        _check(_is_int(num_qubits), "cache num_qubits must be an integer", num_qubits)
         if not isinstance(block_data, list) or not isinstance(cand_data, list):
             raise ValueError("cache blocks and candidates must be lists")
         if len(cand_data) != len(block_data):
@@ -112,22 +114,40 @@ class ApproximationSet:
         blocks, candidates = [], []
         for b, cands in zip(block_data, cand_data):
             bid, qubits, qasm, span = _fields(b, ("id", "qubits", "qasm", "gate_span"), "cached block")
+            _check(_is_int(bid), "cached block id must be an integer", bid)
+            for name, value in (("qubits", qubits), ("gate_span", span)):
+                _check(isinstance(value, list) and all(map(_is_int, value)),
+                       f"{name} of cached block {bid} must be a list of integers", value)
             block = PartitionBlock(id=bid, qubits=tuple(qubits), local_circuit=parse_qasm(qasm),
                                    gate_span=tuple(span))
             if not isinstance(cands, list) or not cands:
                 raise ValueError(f"cached block {bid} has no candidates")
             row = []
             for c in cands:
-                qasm, hs, cnots, score = _fields(
-                    c, ("qasm", "hs_distance", "cnots", "fidelity_score"), f"candidate of cached block {bid}")
+                what = f"candidate of cached block {bid}"
+                qasm, hs, cnots, score = _fields(c, ("qasm", "hs_distance", "cnots", "fidelity_score"), what)
                 circ = parse_qasm(qasm)
                 if circ.num_qubits != len(block.qubits):
                     raise ValueError(f"a candidate of cached block {bid} has {circ.num_qubits} qubits, "
                                      f"the block {len(block.qubits)}")
+                hs = _number(hs, f"hs_distance of a {what}")
+                score = None if score is None else _number(score, f"fidelity_score of a {what}")
+                cx = cnot_count(circ)
+                _check(_is_int(cnots) and cnots == cx, f"cnots of a {what} must be its CX count {cx}", cnots)
                 row.append(Candidate(circ, unitary_of(circ), hs, cnots, score))
             blocks.append(block)
             candidates.append(row)
         return cls(num_qubits, blocks, candidates)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check(ok: bool, message: str, value) -> None:
+    """ValueError naming ``value`` unless ``ok``."""
+    if not ok:
+        raise ValueError(f"{message}, got {value!r}")
 
 
 def _fields(data, keys: tuple[str, ...], what: str) -> list:

@@ -7,6 +7,10 @@ each gate with its depolarizing channel into one superoperator
 (``_gate_channel``), composes the channels of each run of gates on at most
 two qubits into one channel, and applies the runs to vec(rho) with
 ``circuits.gate_product``, so a run, not a gate, costs one pass over rho.
+vec(rho) grows qubit by qubit: a qubit enters as |0><0| at its first run.
+When only the output distribution is wanted (``simulate_distribution``),
+each qubit also leaves after its last run, keeping only its diagonal as a
+measured index, so rho is never held whole.
 """
 from __future__ import annotations
 
@@ -78,12 +82,15 @@ class NoiseModel:
         for q, v in given.items():
             if not (isinstance(v, dict) and "p1" in v and "p2" in v):
                 raise ValueError(f"noise override of qubit {q} must be an object with p1 and p2, got {v!r}")
-            overrides[int(q)] = (float(v["p1"]), float(v["p2"]))
+            overrides[int(q)] = (_number(v["p1"], f"noise override p1 of qubit {q}"),
+                                 _number(v["p2"], f"noise override p2 of qubit {q}"))
         readout = data.get("readout")
+        if readout is not None and not isinstance(readout, list):
+            raise ValueError(f"noise readout must be a list of numbers, got {readout!r}")
         return cls(
-            p1=float(data.get("p1", 0.0)),
-            p2=float(data.get("p2", 0.0)),
-            readout=tuple(float(r) for r in readout) if readout else None,
+            p1=_number(data.get("p1", 0.0), "noise p1"),
+            p2=_number(data.get("p2", 0.0), "noise p2"),
+            readout=tuple(_number(r, "noise readout entry") for r in readout) if readout else None,
             overrides=overrides,
         )
 
@@ -101,6 +108,13 @@ class NoiseModel:
                 str(q): {"p1": p1, "p2": p2} for q, (p1, p2) in self.overrides.items()
             },
         }
+
+
+def _number(value, what: str) -> float:
+    """``value`` as a float; ValueError unless it is a real number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 def _gate_channel(u: np.ndarray, p: float) -> np.ndarray:
@@ -141,6 +155,10 @@ def _runs(gates) -> list[tuple[tuple[int, ...], list]]:
     """
     closed, open_runs = [], {}
     for g in gates:
+        run = open_runs.get(g.qubits[0])
+        if run is not None and run is open_runs.get(g.qubits[-1]):
+            run[1].append(g)  # the run open on all of g's qubits
+            continue
         joined = [open_runs[q] for q in g.qubits if q in open_runs]
         if len(joined) == 2 and joined[0] is joined[1]:
             joined.pop()
@@ -210,6 +228,89 @@ def _run_channel(qubits: tuple[int, ...], gates: list, noise: NoiseModel,
     return m, [n + a, a, n + b, b]
 
 
+_CUT_MIN = 4096
+
+
+def _evolve(circuit: Circuit, noise: NoiseModel,
+            measure: bool) -> tuple[np.ndarray, list[int], list[int]]:
+    """Apply the circuit's runs to vec(rho) held only on the qubits in play.
+
+    vec(rho) is a ``2^a x 2^m`` matrix whose row bits hold one pair per
+    qubit, column qubit q at an even bit and row qubit n + q above it;
+    ``axes`` lists the vec(rho) qubit at each row bit, low first.  A pair
+    enters as |0><0| at its qubit's first run, as the highest row bits; an
+    idle qubit's at the end.  With ``measure``, a qubit leaves after its last
+    run: its diagonal becomes a column bit (``measured``, high first).  The
+    runs between two such cuts go to ``circuits.gate_product`` in one call.
+
+    vec(rho) is cut only while it holds at least ``_CUT_MIN`` entries, since
+    below that a ``gate_product`` call costs more than it saves.  This also
+    keeps the bytes of the full 4^n state: measuring all a pairs of a state
+    of 2^(2a+m) >= 2^12 entries leaves 2^(a+m) >= 64, so every ``np.dot``
+    has a multiple of four columns, as in the full state for n >= 3, or acts
+    on |0...0> alone.  BLAS rounds a product with fewer columns through
+    other kernels.
+    """
+    n = circuit.num_qubits
+    if n > 12:
+        raise DimensionError(f"{n} qubits exceeds the 12-qubit density limit")
+    runs = _runs(circuit.gates)
+    last = {q: i for i, (qubits, _) in enumerate(runs) for q in qubits} if measure else {}
+    t = np.ones((1, 1), dtype=complex)
+    axes, mats, on, measured = [], [], [], []
+    for i, (qubits, gates) in enumerate(runs):
+        if qubits[0] not in axes or qubits[-1] not in axes:
+            if mats and t.shape[1] << len(axes) >= _CUT_MIN:
+                t, mats, on = _apply(t, mats, on, len(axes)), [], []
+            for q in qubits:
+                if q not in axes:
+                    axes += q, n + q
+        m, vq = _run_channel(qubits, gates, noise, n)
+        mats.append(m)
+        on.append(list(map(axes.index, vq)))
+        if measure and t.shape[1] << len(axes) >= _CUT_MIN:
+            leaving = [q for q in axes[::2] if last[q] <= i]
+            if leaving:
+                t, mats, on = _apply(t, mats, on, len(axes)), [], []
+                t, axes = _measure(t, axes, leaving, n)
+                measured += leaving
+    if mats:
+        t = _apply(t, mats, on, len(axes))
+    for q in range(n):
+        if q not in axes and q not in measured:
+            axes += q, n + q
+    return _pad(t, len(axes)), axes, measured
+
+
+def _pad(t: np.ndarray, a: int) -> np.ndarray:
+    """``t`` grown to 2^a rows, its new high row bits at |0><0|."""
+    if t.shape[0] == 1 << a:
+        return t
+    grown = np.zeros((1 << a, t.shape[1]), dtype=complex)
+    grown[:t.shape[0]] = t
+    return grown
+
+
+def _apply(t: np.ndarray, mats: list, on: list, a: int) -> np.ndarray:
+    """The runs ``mats`` on row bits ``on`` applied to ``t`` grown to 2^a rows."""
+    return gate_product(mats, gate_plan(on, a), a, start=_pad(t, a))
+
+
+def _measure(t: np.ndarray, axes: list[int], qubits: list[int],
+             n: int) -> tuple[np.ndarray, list[int]]:
+    """``t`` with the pairs of ``qubits`` reduced to their diagonals, which
+    become new column bits below the old ones, in the order given."""
+    k = len(axes) // 2
+    # Tensor axis j holds the pair at row bits 2(k-1-j) and 2(k-1-j) + 1,
+    # whose diagonal is its entries 0 and 3.
+    pairs = [k - 1 - axes.index(q) // 2 for q in qubits]
+    kept = [j for j in range(k) if j not in pairs]
+    diag = t.reshape((4,) * k + (-1,))[
+        tuple(slice(None, None, 3) if j in pairs else slice(None) for j in range(k))]
+    t = diag.transpose(kept + [k] + pairs).reshape(1 << 2 * len(kept), -1)
+    return t, [v for v in axes if v % n not in qubits]
+
+
 def simulate_density(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
     """Density matrix of the circuit run from |0...0> under the noise model.
 
@@ -217,23 +318,35 @@ def simulate_density(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
     on the gate's qubits (``_gate_channel``).  The gates are grouped into
     runs on at most two qubits (``_runs``), each run's channels are composed
     once into one channel of at most 16x16 (``_run_channel``), and
-    ``circuits.gate_product`` applies the runs in turn to row-major vec(rho)
-    held as a 2n-qubit state, where column qubit q is qubit q and row qubit
-    q is qubit n + q.  Each run, not each gate, costs one pass over the 4^n
-    entries.  Readout error is not applied here.
+    ``circuits.gate_product`` applies the runs in turn to row-major vec(rho),
+    held as a state of row and column qubits (``_evolve``).  Each run, not
+    each gate, costs one pass over vec(rho), and vec(rho) holds a qubit only
+    from its first run on.  Readout error is not applied here.
     """
     n = circuit.num_qubits
-    if n > 12:
-        raise DimensionError(f"{n} qubits exceeds the 12-qubit density limit")
-    dim = 1 << n
-    mats, axes = [], []
-    for qubits, gates in _runs(circuit.gates):
-        m, on = _run_channel(qubits, gates, noise, n)
-        mats.append(m)
-        axes.append(on)
-    start = np.zeros((dim * dim, 1), dtype=complex)
-    start[0, 0] = 1.0
-    return gate_product(mats, gate_plan(axes, 2 * n), 2 * n, start=start).reshape(dim, dim)
+    t, axes, _ = _evolve(circuit, noise, measure=False)
+    # Tensor axis j holds row bit 2n-1-j; logical order wants vec(rho) qubit
+    # 2n-1-j there, where row qubit q is n + q and column qubit q is q.
+    order = [2 * n - 1 - axes.index(2 * n - 1 - j) for j in range(2 * n)]
+    return t.reshape((2,) * (2 * n)).transpose(order).reshape(1 << n, 1 << n)
+
+
+def simulate_distribution(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
+    """Outcome probabilities of the circuit under the noise model, readout
+    flips included: ``measure_distribution(simulate_density(circuit, noise),
+    noise.readout)``, from a vec(rho) that drops each qubit's off-diagonal
+    entries after its last run (``_evolve``)."""
+    n = circuit.num_qubits
+    check_readout(noise.readout, n)
+    t, axes, measured = _evolve(circuit, noise, measure=True)
+    # Tensor axis j < k holds the pair of qubit axes[2(k-1-j)], whose
+    # diagonal is its entries 0 and 3; axis k + i holds measured[i].
+    k = len(axes) // 2
+    diag = t.reshape((4,) * k + (2,) * len(measured))[(slice(None, None, 3),) * k]
+    held = axes[-2::-2] + measured
+    order = [held.index(n - 1 - i) for i in range(n)]
+    probs = np.clip(np.real(diag), 0.0, None).transpose(order).reshape(-1)
+    return _readout_flips(probs, noise.readout)
 
 
 def check_readout(readout: tuple[float, ...] | None, num_qubits: int) -> None:
@@ -250,16 +363,20 @@ def measure_distribution(
     """Outcome probabilities: the diagonal of rho, optionally convolved with
     per-qubit readout bit flips (one entry per qubit, checked)."""
     probs = np.clip(np.real(np.diag(rho)), 0.0, None)
-    n = int(np.log2(len(probs)))
-    check_readout(readout, n)
-    if readout is not None:
-        t = probs.reshape((2,) * n)
-        for q, f in enumerate(readout):
-            if f:
-                axis = n - 1 - q
-                t = (1.0 - f) * t + f * np.flip(t, axis=axis)
-        probs = t.reshape(-1)
-    return probs
+    check_readout(readout, int(np.log2(len(probs))))
+    return _readout_flips(probs, readout)
+
+
+def _readout_flips(probs: np.ndarray, readout: tuple[float, ...] | None) -> np.ndarray:
+    """``probs`` convolved with qubit q's bit flip of probability readout[q]."""
+    if readout is None:
+        return probs
+    n = len(readout)
+    t = probs.reshape((2,) * n)
+    for q, f in enumerate(readout):
+        if f:
+            t = (1.0 - f) * t + f * np.flip(t, axis=n - 1 - q)
+    return t.reshape(-1)
 
 
 def sample_counts(dist: np.ndarray, shots: int, seed) -> dict[str, int]:
@@ -278,8 +395,8 @@ def sample_counts(dist: np.ndarray, shots: int, seed) -> dict[str, int]:
 def counts_to_distribution(counts: dict[str, int], num_qubits: int) -> np.ndarray:
     """Normalize a counts map back into a dense probability vector.
 
-    ValueError unless ``counts`` is an object keyed by bitstrings of at most
-    ``num_qubits`` bits.
+    ValueError unless ``counts`` is an object that maps bitstrings of at most
+    ``num_qubits`` bits to non-negative numbers.
     """
     if not isinstance(counts, dict):
         raise ValueError(f"counts must be a JSON object, got {type(counts).__name__}")
@@ -287,6 +404,8 @@ def counts_to_distribution(counts: dict[str, int], num_qubits: int) -> np.ndarra
     for bits, c in counts.items():
         if not 0 < len(bits) <= num_qubits or bits.strip("01"):
             raise ValueError(f"'{bits}' is not a bitstring of at most {num_qubits} bits")
+        if not _number(c, f"count of '{bits}'") >= 0:
+            raise ValueError(f"count of '{bits}' must not be negative, got {c!r}")
         dist[int(bits, 2)] += c
     total = dist.sum()
     if total == 0:

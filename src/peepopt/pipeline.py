@@ -23,9 +23,8 @@ from .noise import (
     NoiseModel,
     check_readout,
     counts_to_distribution,
-    measure_distribution,
     sample_counts,
-    simulate_density,
+    simulate_distribution,
 )
 from .partition import build_partition_graph, scan_partition
 from .qasm import emit_qasm, parse_qasm
@@ -143,7 +142,7 @@ def ideal_distribution(circuit: Circuit) -> np.ndarray:
 
 def noisy_distribution(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
     """Exact output distribution under gate noise and readout flips."""
-    return measure_distribution(simulate_density(circuit, noise), noise.readout)
+    return simulate_distribution(circuit, noise)
 
 
 def noisy_counts(circuit: Circuit, noise: NoiseModel, shots: int, seed) -> dict[str, int]:
@@ -180,12 +179,16 @@ def ensemble_distribution(
 def cnot_reduction(
     solutions: list[Solution], approx: ApproximationSet, original: Circuit
 ) -> float:
-    """Mean percent CNOT reduction of the result circuits vs. the original."""
+    """Mean percent CNOT reduction of the result circuits vs. the original.
+
+    A result's CNOT count is the sum of its chosen candidates' ``cnots``,
+    the counts the objective's CNOT term reads.
+    """
     base = cnot_count(original)
     if base == 0 or not solutions:
         return 0.0
     reductions = [
-        100.0 * (1.0 - cnot_count(reassemble(sol, approx)) / base)
+        100.0 * (1.0 - sum(c.cnots for c in approx.chosen(sol)) / base)
         for sol in solutions
     ]
     return float(np.mean(reductions))

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from peepopt import noise as noise_module
-from peepopt.circuits import Circuit, cx, gate_matrix, rx, rz, u3, unitary_of
+from peepopt.circuits import (Circuit, Gate, cx, gate_matrix, gate_plan, gate_product, rx, rz, u3,
+                               unitary_of)
 from peepopt.noise import (
     DimensionError,
     NoiseModel,
@@ -16,8 +17,11 @@ from peepopt.noise import (
     frobenius_distance,
     measure_distribution,
     _gate_channel,
+    _run_channel,
+    _runs,
     sample_counts,
     simulate_density,
+    simulate_distribution,
 )
 from conftest import random_circuit
 
@@ -69,6 +73,25 @@ def _reference_simulate(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
                            axes=(list(range(2 * m, 4 * m)), axes))
         rho = np.moveaxis(rho, list(range(2 * m)), axes)
     return rho.reshape(dim, dim)
+
+
+def _one_call_simulate(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
+    """The fused simulator before vec(rho) grew qubit by qubit: every run
+    applied to the whole 4^n vec(rho) in one ``gate_product`` call."""
+    n = circuit.num_qubits
+    dim = 1 << n
+    mats, axes = [], []
+    for qubits, gates in _runs(circuit.gates):
+        m, on = _run_channel(qubits, gates, noise, n)
+        mats.append(m)
+        axes.append(on)
+    start = np.zeros((dim * dim, 1), dtype=complex)
+    start[0, 0] = 1.0
+    return gate_product(mats, gate_plan(axes, 2 * n), 2 * n, start=start).reshape(dim, dim)
+
+
+def _assert_same_array(a: np.ndarray, b: np.ndarray) -> None:
+    assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def _assert_matches_reference(circuit: Circuit, noise: NoiseModel) -> None:
@@ -214,6 +237,92 @@ class TestSimulateDensity:
     def test_dimension_limit(self):
         with pytest.raises(DimensionError):
             simulate_density(Circuit(13), NoiseModel.zero())
+
+
+class TestGrowingState:
+    """``simulate_density`` and ``simulate_distribution`` hold vec(rho) only
+    on the qubits in play, yet give the bytes of the one-call simulator."""
+
+    @staticmethod
+    def _assert_same_as_one_call(circuit: Circuit, noise: NoiseModel) -> None:
+        rho = _one_call_simulate(circuit, noise)
+        _assert_same_array(simulate_density(circuit, noise), rho)
+        dist = measure_distribution(rho, noise.readout)
+        _assert_same_array(simulate_distribution(circuit, noise), dist)
+        _assert_same_array(dist, measure_distribution(simulate_density(circuit, noise), noise.readout))
+
+    @staticmethod
+    def _noise(rng: np.random.Generator, n: int) -> NoiseModel:
+        return NoiseModel(p1=0.003, p2=0.02, readout=tuple(rng.uniform(0.0, 0.1, n)),
+                          overrides={int(rng.integers(n)): (0.05, 0.03), n - 1: (0.0, 0.2)})
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8])
+    def test_random_circuits(self, n):
+        rng = np.random.default_rng([n, 14])
+        for size in (4, 12, 40):
+            noise = self._noise(rng, n)
+            self._assert_same_as_one_call(random_circuit(rng, n, size * n // 3 + 1), noise)
+            self._assert_same_as_one_call(random_circuit(rng, n, size, cx_fraction=0.8),
+                                          noise.without_readout())
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 6])
+    def test_idle_qubits(self, n):
+        # Gates on a random subset of the qubits; the others stay |0><0|.
+        rng = np.random.default_rng([n, 15])
+        for used in range(1, n):
+            qubits = rng.choice(n, size=used, replace=False)
+            inner = random_circuit(rng, used, 6 * used)
+            gates = [Gate(g.kind, g.params, tuple(int(qubits[q]) for q in g.qubits))
+                     for g in inner.gates]
+            self._assert_same_as_one_call(Circuit(n, tuple(gates)), self._noise(rng, n))
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_qubit_whose_only_gate_comes_first(self, n):
+        rng = np.random.default_rng([n, 16])
+        rest = random_circuit(rng, n - 1, 8 * n)
+        gates = (rx(0.3, 0),) + tuple(Gate(g.kind, g.params, tuple(q + 1 for q in g.qubits))
+                                      for g in rest.gates)
+        self._assert_same_as_one_call(Circuit(n, gates), self._noise(rng, n))
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_empty_circuit(self, n):
+        self._assert_same_as_one_call(Circuit(n), self._noise(np.random.default_rng(n), n))
+
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_brickwork_9q(self, seed):
+        brickwork = _brickwork(np.random.default_rng(seed), 9, 2)
+        self._assert_same_as_one_call(brickwork, NoiseModel(p1=0.001, p2=0.01))
+        self._assert_same_as_one_call(brickwork, self._noise(np.random.default_rng(seed), 9))
+
+    def test_measured_brickwork_never_holds_more_than_two_8_qubit_states(self, monkeypatch):
+        calls = []  # (runs, entries of vec(rho)) per gate_product call
+        real = noise_module.gate_product
+
+        def recording(mats, plan, n, start=None):
+            out = real(mats, plan, n, start)
+            calls.append((len(mats), out.size))
+            return out
+
+        monkeypatch.setattr(noise_module, "gate_product", recording)
+        brickwork = _brickwork(np.random.default_rng(7), 9, 2)
+        runs = len(_runs(brickwork.gates))
+        simulate_distribution(brickwork, NoiseModel(p1=0.001, p2=0.01))
+        assert sum(k for k, _ in calls) == runs
+        assert max(size for _, size in calls) == 2 * 4**8
+        # The full 4^9 state would take runs * 4^9 entry passes.
+        assert 8 * sum(k * size for k, size in calls) < runs * 4**9
+        calls.clear()
+        simulate_density(brickwork, NoiseModel(p1=0.001, p2=0.01))
+        assert sum(k for k, _ in calls) == runs
+        assert max(size for _, size in calls) == 4**9
+
+    def test_readout_width_checked(self):
+        with pytest.raises(DimensionError, match="readout has 1 entries for a 2-qubit circuit"):
+            simulate_distribution(Circuit(2, (cx(0, 1),)), NoiseModel(readout=(0.1,)))
+
+    def test_dimension_limit(self):
+        with pytest.raises(DimensionError):
+            simulate_distribution(Circuit(13), NoiseModel.zero())
 
 
 class TestMeasureDistribution:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from peepopt import pipeline
+from peepopt.circuits import cnot_count
 from peepopt.cli import main
 from peepopt.noise import (
     NoiseModel,
@@ -173,6 +174,23 @@ class TestEvaluate:
         original = tuple(0 for _ in blocks)
         assert cnot_reduction([original], approx, circuit) == 0.0
 
+    @pytest.mark.parametrize("name, k", [("xy_4", 2), ("qft_5", 3), ("adder_5", 4)])
+    def test_cnot_reduction_reads_the_reassembled_counts(self, name, k):
+        from peepopt.expand import expand_all, OptBudget
+        from peepopt.partition import scan_partition
+        from conftest import BENCHMARKS
+        circuit = parse_qasm((BENCHMARKS / f"{name}.qasm").read_text())
+        approx = expand_all(scan_partition(circuit, k), circuit.num_qubits, 0.3, 7,
+                            OptBudget(restarts=1, max_iters=30))
+        assert all(c.cnots == cnot_count(c.local_circuit) for row in approx.candidates for c in row)
+        rng = np.random.default_rng(k)
+        solutions = [tuple(int(rng.integers(a)) for a in approx.counts()) for _ in range(6)]
+        solutions += [(0,) * len(approx.counts()), tuple(a - 1 for a in approx.counts())]
+        base = cnot_count(circuit)
+        expected = [100.0 * (1.0 - cnot_count(reassemble(sol, approx)) / base) for sol in solutions]
+        assert [cnot_reduction([sol], approx, circuit) for sol in solutions] == expected
+        assert cnot_reduction(solutions, approx, circuit) == float(np.mean(expected))
+
     def test_ensemble_simulates_each_distinct_solution_once(self, tiny_qasm, monkeypatch):
         from peepopt.expand import expand_all, OptBudget
         from peepopt.partition import scan_partition
@@ -186,13 +204,13 @@ class TestEvaluate:
         seed, shots = [4, 1], 512
 
         simulated = []
-        real = pipeline.simulate_density
+        real = pipeline.simulate_distribution
 
         def counting(circ, model):
             simulated.append(circ)
             return real(circ, model)
 
-        monkeypatch.setattr(pipeline, "simulate_density", counting)
+        monkeypatch.setattr(pipeline, "simulate_distribution", counting)
         dist = ensemble_distribution(solutions, approx, noise, shots, seed)
         assert len(simulated) == 2
 
@@ -359,8 +377,24 @@ class TestCli:
         (_edited(lambda d: d["candidates"].append([])), "cache has 4 candidate lists for 3 blocks"),
         (_edited(lambda d: d["candidates"][0][0].update(qasm=TINY)),
          "a candidate of cached block 0 has 3 qubits, the block 2"),
+        (_edited(lambda d: d.update(num_qubits="3")), "cache num_qubits must be an integer, got '3'"),
+        (_edited(lambda d: d["blocks"][1].update(qubits=5)),
+         "qubits of cached block 1 must be a list of integers, got 5"),
+        (_edited(lambda d: d["blocks"][1].update(gate_span=[0, None])),
+         "gate_span of cached block 1 must be a list of integers, got [0, None]"),
+        (_edited(lambda d: d["blocks"][0].update(id="0")), "cached block id must be an integer, got '0'"),
+        (_edited(lambda d: d["candidates"][0][0].update(hs_distance=None)),
+         "hs_distance of a candidate of cached block 0 must be a number, got None"),
+        (_edited(lambda d: d["candidates"][0][0].update(fidelity_score="low")),
+         "fidelity_score of a candidate of cached block 0 must be a number, got 'low'"),
+        (_edited(lambda d: d["candidates"][0][0].update(cnots="1")),
+         "cnots of a candidate of cached block 0 must be its CX count 1, got '1'"),
+        (_edited(lambda d: d["candidates"][0][0].update(cnots=0)),
+         "cnots of a candidate of cached block 0 must be its CX count 1, got 0"),
     ], ids=["not-object", "no-num-qubits", "no-blocks", "no-candidates", "no-candidate-key",
-            "empty-block", "list-short", "list-long", "wide-candidate"])
+            "empty-block", "list-short", "list-long", "wide-candidate", "num-qubits-string",
+            "qubits-number", "gate-span-null", "id-string", "hs-null", "score-string",
+            "cnots-string", "cnots-wrong"])
     def test_recombine_rejects_a_malformed_cache(self, tmp_path, capsys, damage, message):
         cache = tmp_path / "cache.json"
         data = self._cache(cache)
@@ -375,7 +409,14 @@ class TestCli:
         ({"overrides": {"0": 0.1}}, "noise override of qubit 0 must be an object with p1 and p2, got 0.1"),
         ({"overrides": {"0": {"p1": 0.1}}},
          "noise override of qubit 0 must be an object with p1 and p2, got {'p1': 0.1}"),
-    ], ids=["not-object", "overrides-not-object", "override-not-object", "override-without-p2"])
+        ({"p1": None}, "noise p1 must be a number, got None"),
+        ({"p2": "0.01"}, "noise p2 must be a number, got '0.01'"),
+        ({"readout": 0.1}, "noise readout must be a list of numbers, got 0.1"),
+        ({"readout": [0.1, None, 0.0]}, "noise readout entry must be a number, got None"),
+        ({"overrides": {"0": {"p1": True, "p2": 0.1}}},
+         "noise override p1 of qubit 0 must be a number, got True"),
+    ], ids=["not-object", "overrides-not-object", "override-not-object", "override-without-p2",
+            "p1-null", "p2-string", "readout-number", "readout-null-entry", "override-p1-bool"])
     def test_run_rejects_a_malformed_noise_file(self, tiny_qasm, tmp_path, capsys, noise, message):
         path = tmp_path / "noise.json"
         path.write_text(json.dumps(noise))
@@ -388,7 +429,10 @@ class TestCli:
         (["00", "01"], "counts must be a JSON object, got list"),
         ({"00": 3, "100": 1}, "'100' is not a bitstring of at most 2 bits"),
         ({"-1": 3}, "'-1' is not a bitstring of at most 2 bits"),
-    ], ids=["not-object", "too-long", "not-bits"])
+        ({"00": "5"}, "count of '00' must be a number, got '5'"),
+        ({"00": 3, "01": None}, "count of '01' must be a number, got None"),
+        ({"00": 3, "01": -1}, "count of '01' must not be negative, got -1"),
+    ], ids=["not-object", "too-long", "not-bits", "count-string", "count-null", "count-negative"])
     def test_metrics_rejects_malformed_counts(self, tmp_path, capsys, counts, message):
         good, bad = tmp_path / "good.json", tmp_path / "bad.json"
         good.write_text(json.dumps({"00": 1}))

@@ -9,12 +9,14 @@ set of already-selected solutions, their errors and the values it has
 computed, so a solution the annealer revisits is scored once while that set
 stays the same.
 
-The population engine anneals all c result circuits together (see
-``anneal``).  The iterative engine picks one result circuit per step.  On
-a space of at most ``EXACT_SPACE_LIMIT`` solutions it scores every
-solution at once (``EnumeratedObjective``, equal to the objective bit for
-bit) and takes the minimum; on a larger space it anneals with a single
-member.
+Both engines split on the size of the choice space.  On a space of at
+most ``EXACT_SPACE_LIMIT`` solutions, ``EnumeratedObjective`` holds the
+objective's terms as arrays over the whole space, equal to the objective
+bit for bit.  The population engine anneals all c result circuits
+together (see ``anneal``) and, on such a space, reads each value from
+those arrays.  The iterative engine picks one result circuit per step:
+it scores every solution of such a space at once and takes the minimum,
+and on a larger space it anneals with a single member.
 """
 from __future__ import annotations
 
@@ -22,7 +24,8 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from operator import getitem
+from functools import reduce
+from operator import add, getitem, mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -77,6 +80,12 @@ def pair_unitary_table(
         [pair_unitary(ui, uj, pos_i, pos_j, union_size) for uj in unitaries_j]
         for ui in unitaries_i
     ]
+
+
+def _fold(values) -> float:
+    """Left-to-right float sum.  ``sum`` compensates its float additions
+    from Python 3.12 on, which the whole-space arrays do not."""
+    return reduce(add, values, 0.0)
 
 
 @dataclass(frozen=True)
@@ -139,7 +148,8 @@ class ObjectiveTables:
 
     def basic_error(self, sol: Solution) -> float:
         """``circuit_error_basic`` of a solution, read from ``hs``."""
-        return sum(map(getitem, self.hs, sol))
+        return _fold(map(getitem, self.hs, sol))
+
 
 
 def objective_tables(approx: ApproximationSet, graph: PartitionGraph | None,
@@ -159,7 +169,7 @@ def circuit_error_basic(sol: Solution, approx: ApproximationSet) -> float:
     """Sum of chosen-candidate HS distances: the paper's additive estimate of
     the full-circuit process distance.  The sum is not an upper bound on that
     distance; the bound that holds is (sum of sqrt(d_b))^2."""
-    return sum(approx.candidates[b][c].hs_distance for b, c in enumerate(sol))
+    return _fold(approx.candidates[b][c].hs_distance for b, c in enumerate(sol))
 
 
 def circuit_error_cascade(
@@ -211,7 +221,7 @@ def differentiation(
     e_sol = tables.basic_error(sol)
     close = 0
     for s, e in zip(others, errors):
-        d = sum(map(getitem, rows, s))
+        d = _fold(map(getitem, rows, s))
         close += d <= e_sol or d <= e
     return close / len(others)
 
@@ -355,14 +365,16 @@ class EnumeratedObjective:
     per-solution terms are arrays over the whole space, built once from
     per-block vectors; each add runs in the order ``objective`` runs it, so
     ``values()[n]`` equals ``objective(solution n, results, ...)`` bit for
-    bit.  Each selected result adds its differentiation hits, one
-    gather-add per block, to a running count.
+    bit.  Each selected result adds its close column (``_close_column``)
+    to a running count of differentiation hits.  ``lookup`` reads the
+    same arrays one solution at a time.
     """
 
     def __init__(self, approx: ApproximationSet, graph: PartitionGraph | None,
                  cfg: ObjectiveConfig):
         tables = objective_tables(approx, graph, cfg)
         self.counts = counts = approx.counts()
+        self.strides = [math.prod(counts[b + 1 :]) for b in range(len(counts))]
         self.cfg = cfg
         size = math.prod(counts)
         self.pair = [np.array(t) for t in tables.pair_distances]
@@ -423,13 +435,62 @@ class EnumeratedObjective:
             rest, choice = divmod(rest, a)
             choices.append(choice)
         sol = tuple(reversed(choices))
-        d = np.zeros(len(self.close))
-        for b, (table, choice) in enumerate(zip(self.pair, sol)):
-            _add_over_space(d, table[:, choice], (b,), self.counts)
-        self.close[(d <= self.basic) | (d <= self.basic[index])] += 1.0
+        self.close[self._close_column(sol)] += 1.0
         self.results.append(sol)
         self.indices.append(index)
         return sol
+
+    def _close_column(self, sol: Solution) -> np.ndarray:
+        """Which solutions ``differentiation`` counts as close to ``sol``:
+        their distance to it is at most either basic error.  The distances
+        are outer sums of the blocks' distance columns in block order, so
+        each is added from the left as ``differentiation`` adds it."""
+        d = 0.0
+        for table, choice in zip(self.pair, sol):
+            d = np.add.outer(d, table[:, choice]).ravel()
+        return (d <= self.basic) | (d <= self.basic[sum(map(mul, sol, self.strides))])
+
+    def lookup(self) -> Callable[[Solution, list[Solution]], float]:
+        """f(solution, others) -> value, equal to ``objective`` bit for bit,
+        read from the arrays at the solution's flat index.
+
+        The differentiation term adds one byte per other solution, read
+        from that solution's close column.  Columns are kept for the
+        current and the previous ``others`` only: a population's members
+        see others that differ in one solution, so each member moved since
+        the last timestep costs one column.  ``others``, a list of
+        solution tuples, is compared by value on every call.
+        """
+        strides = self.strides
+        weighted = self.weighted.tolist()
+        if self.penalized is None:
+            fixed = [None] * len(weighted)
+        else:  # the penalty where the error is over epsilon
+            fixed = np.where(self.penalized, self.penalty, None).tolist()
+        scale = 1.0 - self.cfg.w
+        allow_duplicates = self.cfg.allow_duplicates
+        held: list[Solution] = []
+        columns: dict[Solution, bytes] = {}
+        reads: list[bytes] = []
+
+        def f(sol, others):
+            nonlocal held, columns, reads
+            if others != held:
+                previous, held = held, [*map(tuple, others)]
+                columns = {s: columns[s] if s in columns else self._close_column(s).tobytes()
+                           for s in previous + held}
+                reads = [columns[s] for s in held]
+            if not allow_duplicates and tuple(sol) in held:
+                return DUPLICATE_PENALTY
+            n = sum(map(mul, sol, strides))
+            value = fixed[n]
+            if value is not None:
+                return value
+            close = 0
+            for column in reads:
+                close += column[n]
+            return weighted[n] + scale * (close / len(reads) if reads else 0.0)
+        return f
 
 
 # --- engines ------------------------------------------------------------------
@@ -481,9 +542,15 @@ def recombine_population(
     ann_cfg: AnnealerConfig,
     c: int,
 ) -> list[Solution]:
-    """Population engine: c members annealed together, duplicates allowed."""
+    """Population engine: c members annealed together, duplicates allowed.
+
+    On a space of at most ``EXACT_SPACE_LIMIT`` solutions the objective is
+    read from whole-space arrays (``EnumeratedObjective.lookup``)."""
     obj_cfg = replace(obj_cfg, allow_duplicates=True)
-    f = make_objective(approx, graph, obj_cfg)
+    if math.prod(approx.counts()) <= EXACT_SPACE_LIMIT:
+        f = EnumeratedObjective(approx, graph, obj_cfg).lookup()
+    else:
+        f = make_objective(approx, graph, obj_cfg)
     out = population_anneal(f, approx.counts(), ann_cfg, c)
     return [sol for sol, _ in out]
 

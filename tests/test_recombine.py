@@ -75,6 +75,16 @@ class TestErrorMetrics:
         assert circuit_error_basic((1, 0), approx) == pytest.approx(0.07, abs=1e-15)
         assert circuit_error_basic((1, 1), approx) == pytest.approx(0.27, abs=1e-15)
 
+    def test_basic_error_adds_left_to_right(self):
+        # Ten additions of 0.1 from the left give 0.9999999999999999; the
+        # compensated float sum of Python 3.12 gives 1.0.
+        approx = synthetic_set([[(0.1, 0, None, np.eye(2))]] * 10)
+        space = EnumeratedObjective(approx, None, ObjectiveConfig())
+        tables = ObjectiveTables.build(approx)
+        sol = (0,) * 10
+        assert space.basic.tolist() == [0.9999999999999999]
+        assert circuit_error_basic(sol, approx) == tables.basic_error(sol) == space.basic[0]
+
     def test_cascade_isolated_blocks_fall_back_to_own_distance(self):
         approx = synthetic_set([
             [(0.0, 1, None, np.eye(2)), (0.1, 0, None, np.eye(2))],
@@ -910,3 +920,68 @@ class TestExactSelection:
         with pytest.raises(ValueError, match="score"):
             recombine_iterative(approx, None, ObjectiveConfig(mode=Mode.BASIC_ERR),
                                 AnnealerConfig(), 2)
+
+
+# --- the population engine's whole-space objective -----------------------------
+
+LOOKUP_SETS = dict(REAL_SETS, adder_5_k4=("adder_5", 4, 7))
+
+
+class TestWholeSpaceLookup:
+    @staticmethod
+    def _populations(sols, rng):
+        """Others lists as the annealer hands them out: for each member of
+        a snapshot, the other members' solutions; then the snapshot moves.
+        c = 1 gives empty others, and repeated solutions come from members
+        that share one."""
+        for c in (1, 2, 3, 8):
+            snapshot = [sols[0], sols[-1]] + [sols[i] for i in rng.integers(len(sols), size=c)]
+            snapshot = snapshot[:c]
+            if c > 2:
+                snapshot[2] = snapshot[1]
+            for _ in range(3):
+                for idx in range(c):
+                    yield snapshot[:idx] + snapshot[idx + 1 :]
+                moved = int(rng.integers(c))
+                snapshot[moved] = sols[int(rng.integers(len(sols)))]
+
+    @pytest.mark.parametrize("name", sorted(LOOKUP_SETS))
+    def test_equals_objective(self, name):
+        approx, graph = _expanded(*LOOKUP_SETS[name])
+        sols = list(itertools.product(*map(range, approx.counts())))
+        rng = np.random.default_rng(len(sols))
+        for mode in Mode:
+            branches = set()
+            for epsilon, allow in ((0.02, True), (0.1, True), (0.1, False)):
+                cfg = ObjectiveConfig(epsilon=epsilon, mode=mode, allow_duplicates=allow)
+                f = EnumeratedObjective(approx, graph, cfg).lookup()
+                tables = objective_tables(approx, graph, cfg)
+                for others in self._populations(sols, rng):
+                    probe = [sols[0], sols[-1], *others]
+                    probe += [sols[i] for i in rng.integers(len(sols), size=40)]
+                    for sol in probe:
+                        got = f(sol, others)
+                        want = objective(sol, others, approx, graph, cfg, tables)
+                        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                        branches.add(_branch(want))
+            assert {"main", "duplicate"} <= branches, mode
+            if mode is not Mode.BASIC_ERR:
+                assert len(branches) == 3, mode  # and the penalized branch
+
+    def test_population_engine_reads_the_arrays(self, monkeypatch):
+        # Below the limit the population engine never calls objective();
+        # its results equal those of the per-call objective above the limit.
+        approx, graph = _expanded("qft_5", 3, 5)
+        ann_cfg = AnnealerConfig(max_iterations=15, seed=4)
+        for mode in (Mode.BASIC, Mode.BASIC_ERR):
+            cfg = ObjectiveConfig(mode=mode)
+            calls = []
+            with monkeypatch.context() as m:
+                m.setattr(recombine_module, "objective",
+                          lambda *a, **k: calls.append(a) or objective(*a, **k))
+                exact = recombine_population(approx, graph, cfg, ann_cfg, 4)
+                assert calls == []
+                m.setattr(recombine_module, "EXACT_SPACE_LIMIT", 0)
+                annealed = recombine_population(approx, graph, cfg, ann_cfg, 4)
+                assert calls
+            assert exact == annealed, mode

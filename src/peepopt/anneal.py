@@ -5,6 +5,10 @@ decodes to a choice vector by floor.  One loop serves every caller: each
 member of a population visits with its own generator, and each
 evaluation sees the other members' current solutions.  ``dual_anneal``
 runs it with a single member; ``population_anneal`` with c members.
+
+Each member draws all the random numbers of a timestep at its start, in
+two generator calls whose sizes depend only on the number of blocks, so
+the walk between evaluations is plain Python arithmetic.
 """
 from __future__ import annotations
 
@@ -12,7 +16,7 @@ import hashlib
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -63,59 +67,30 @@ class _Visitor:
             / math.sin(math.pi * (1.0 - factor5))
             / math.exp(math.lgamma(d1))
         )
-        self._sigma_temperature = math.nan
-        self._sigma_value = math.nan
 
     def _sigma(self, temperature: float) -> float:
-        """Scale of the visiting distribution; every visit of one timestep
-        shares the temperature, so the last value is kept."""
-        if temperature != self._sigma_temperature:
-            qv = self.q_v
-            factor1 = math.exp(math.log(temperature) / (qv - 1.0))
-            factor4 = (
-                math.sqrt(math.pi) * factor1 * self._factor2
-                / (self._factor3 * (3.0 - qv))
-            )
-            self._sigma_value = math.exp(
-                -(qv - 1.0) * math.log(self._factor6 / factor4) / (3.0 - qv)
-            )
-            self._sigma_temperature = temperature
-        return self._sigma_value
-
-    def _deviate(self, rng, temperature: float, size: int) -> list[float]:
-        """``size`` steps.  ``log`` and ``exp`` stay numpy's: ``math``'s
-        round differently on some inputs, which would move the walk."""
+        """Scale of the visiting distribution at ``temperature``."""
         qv = self.q_v
-        # One draw of 2 * size values is the same stream as two draws of
-        # size each: x's normals then y's, the high tails' uniforms then
-        # the low tails'.
-        normals = rng.standard_normal(2 * size)
-        x = normals[:size] * self._sigma(temperature)
-        den = np.exp((qv - 1.0) * np.log(np.abs(normals[size:])) / (3.0 - qv))
-        visit = (x / den).tolist()
-        tails = rng.random(2 * size)
-        if max(visit) > _TAIL_LIMIT or min(visit) < -_TAIL_LIMIT:
-            for i, v in enumerate(visit):
-                if v > _TAIL_LIMIT:
-                    visit[i] = _TAIL_LIMIT * float(tails[i])
-                elif v < -_TAIL_LIMIT:
-                    visit[i] = -_TAIL_LIMIT * float(tails[size + i])
-        return visit
+        factor1 = math.exp(math.log(temperature) / (qv - 1.0))
+        factor4 = (
+            math.sqrt(math.pi) * factor1 * self._factor2
+            / (self._factor3 * (3.0 - qv))
+        )
+        return math.exp(-(qv - 1.0) * math.log(self._factor6 / factor4) / (3.0 - qv))
 
-    def _deviate_one(self, rng, temperature: float) -> float:
-        """``_deviate(rng, temperature, 1)[0]`` without one-element arrays:
-        the same draws and the same value, since numpy's log and exp of a
-        scalar run the array loop and the rest is correctly rounded
-        arithmetic."""
+    def steps(self, normals: np.ndarray, tails: np.ndarray,
+              temperature: float) -> np.ndarray:
+        """One step per column pair, row by row: each row of ``normals``
+        holds the steps' numerators, then their denominators; each row of
+        ``tails`` holds the uniforms of the high tails, then of the low
+        tails.  A step beyond the tail limit is the limit times its
+        uniform."""
         qv = self.q_v
-        x, y = rng.standard_normal(2).tolist()
-        den = float(np.exp((qv - 1.0) * float(np.log(abs(y))) / (3.0 - qv)))
-        visit = x * self._sigma(temperature) / den
-        high, low = rng.random(2).tolist()
-        if visit > _TAIL_LIMIT:
-            visit = _TAIL_LIMIT * high
-        if visit < -_TAIL_LIMIT:
-            visit = -_TAIL_LIMIT * low
+        n = normals.shape[1] // 2
+        visit = normals[:, :n] * self._sigma(temperature)
+        visit /= np.exp((qv - 1.0) * np.log(np.abs(normals[:, n:])) / (3.0 - qv))
+        np.copyto(visit, _TAIL_LIMIT * tails[:, :n], where=visit > _TAIL_LIMIT)
+        np.copyto(visit, -_TAIL_LIMIT * tails[:, n:], where=visit < -_TAIL_LIMIT)
         return visit
 
 
@@ -125,13 +100,13 @@ def _temperature(t0: float, step: int, q_v: float) -> float:
 
 
 def _accept(e_new: float, e_cur: float, temperature_step: float, q_a: float,
-            rng) -> bool:
+            uniform: float) -> bool:
     if e_new <= e_cur:
         return True
     pqa = 1.0 - (1.0 - q_a) * (e_new - e_cur) / temperature_step
     if pqa <= 0.0:
         return False
-    return rng.random() <= math.exp(math.log(pqa) / (1.0 - q_a))
+    return uniform <= math.exp(math.log(pqa) / (1.0 - q_a))
 
 
 def decode(x: Sequence[float], bounds: Sequence[int]) -> Solution:
@@ -145,34 +120,13 @@ def decode(x: Sequence[float], bounds: Sequence[int]) -> Solution:
     return sol
 
 
-def _wrap(x: Iterable[float], span: list[float]) -> list[float]:
-    """Each coordinate modulo its span, as ``np.mod``: Python's float ``%``
-    rounds the same way for a positive span, turns -0.0 into 0.0 and, like
-    ``np.mod``, takes a tiny negative value up to exactly the span."""
-    return [v % s for v, s in zip(x, span)]
-
-
-def _splice(x: list[float], sol: Solution, k: int, step: float,
-            span: list[float], bounds: Sequence[int]) -> tuple[list[float], Solution]:
-    """Point and solution after moving coordinate k of ``x`` by ``step``:
-    the same as wrapping the whole moved point and decoding it, without
-    decoding the p - 1 coordinates that did not move."""
-    v = (x[k] + step) % span[k]
-    if any(map(operator.eq, x, span)):
-        # A coordinate that wrapped up to exactly its span decodes to
-        # a - 1, but wrapping it again sends it to 0.
-        x_new = _wrap(x, span)
-        x_new[k] = v
-        return x_new, decode(x_new, bounds)
-    x_new = x.copy()
-    x_new[k] = v
-    return x_new, sol[:k] + (min(math.floor(v), bounds[k] - 1),) + sol[k + 1 :]
-
-
 def _box(bounds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper corners of the continuous search box."""
     if len(bounds) < 1:
         raise ValueError("need at least one block")
+    for b, a in enumerate(bounds):
+        if not a >= 1:
+            raise ValueError(f"block {b} has {a} choices, need at least 1")
     return np.zeros(len(bounds)), np.array(bounds, dtype=float)
 
 
@@ -200,15 +154,24 @@ def _anneal(
     point, each visiting with its own generator.
 
     Every timestep updates all members; each evaluation receives the other
-    members' current decoded solutions (never its own).  A visit moves all
-    p coordinates or, in the second half of a member's 2p visits, one.
-    Reannealing restarts every member from its saved best.  Returns the
-    per-member best solutions in member order.
+    members' current decoded solutions (never its own).  A member makes 2p
+    visits per timestep: visit j < p moves all p coordinates, visit
+    j >= p moves coordinate j - p.  At the start of a timestep each member
+    draws, in two generator calls, the normals of all p(p + 1) steps and
+    then their tail uniforms and one acceptance uniform per visit; the
+    steps of all members come from one array transform.  Reannealing
+    restarts every member from its saved best.  Returns the per-member
+    best solutions in member order.
     """
     span = [float(a) for a in bounds]
+    top = [a - 1 for a in bounds]
     p = len(bounds)
     max_iterations = 1000 * p if cfg.max_iterations is None else cfg.max_iterations
     visitor = _Visitor(cfg.q_v)
+    q_a = cfg.q_a
+    n_steps = p * p + p
+    normals = np.empty((len(starts), 2 * n_steps))
+    uniforms = np.empty((len(starts), 2 * n_steps + 2 * p))
 
     members: list[_Member] = []
     snapshot = [decode(x0, bounds) for x0, _ in starts]
@@ -226,6 +189,11 @@ def _anneal(
             since_restart = 0
             temperature = _temperature(cfg.initial_temperature, 0, cfg.q_v)
         t_step = temperature / float(it + 1)
+        for m, row_n, row_u in zip(members, normals, uniforms):
+            m.rng.standard_normal(out=row_n)
+            m.rng.random(out=row_u)
+        steps = visitor.steps(normals, uniforms[:, : 2 * n_steps], temperature).tolist()
+        accepts = uniforms[:, 2 * n_steps :].tolist()
         snapshot = [m.sol for m in members]
         for idx, m in enumerate(members):
             others = snapshot[:idx] + snapshot[idx + 1 :]
@@ -235,18 +203,23 @@ def _anneal(
                 m.e_cur = f(m.sol, others)
                 if m.e_cur < m.best_e:
                     m.best_x, m.best_sol, m.best_e = m.x, m.sol, m.e_cur
+            step, accept = steps[idx], accepts[idx]
             for j in range(2 * p):
                 if j < p:
-                    step = visitor._deviate(m.rng, temperature, p)
-                    x = _wrap(map(operator.add, m.x, step), span)
+                    x = [*map(operator.mod, map(operator.add, m.x, step[j * p : j * p + p]),
+                              span)]
                     sol = decode(x, bounds)
                 else:
-                    step = visitor._deviate_one(m.rng, temperature)
-                    x, sol = _splice(m.x, m.sol, j - p, step, span, bounds)
+                    # A tiny negative sum wraps up to exactly the span,
+                    # which decodes to a - 1, as in ``decode``.
+                    k = j - p
+                    x = m.x.copy()
+                    x[k] = v = (x[k] + step[p * p + k]) % span[k]
+                    sol = m.sol[:k] + (min(math.floor(v), top[k]),) + m.sol[k + 1 :]
                 e_new = f(sol, others)
                 if e_new < m.best_e:
                     m.best_x, m.best_sol, m.best_e = x, sol, e_new
-                if _accept(e_new, m.e_cur, t_step, cfg.q_a, m.rng):
+                if _accept(e_new, m.e_cur, t_step, q_a, accept[j]):
                     m.x, m.sol, m.e_cur = x, sol, e_new
         since_restart += 1
     return [(m.best_sol, m.best_e) for m in members]

@@ -14,9 +14,7 @@ from peepopt.partition import PartitionGraph, build_partition_graph, scan_partit
 from peepopt.anneal import (
     AnnealerConfig,
     _member_rng,
-    _splice,
     _Visitor,
-    _wrap,
     decode,
     dual_anneal,
     population_anneal,
@@ -431,18 +429,6 @@ class TestAnnealerPrimitives:
         cfg = AnnealerConfig(max_iterations=100, seed=9)
         assert dual_anneal(f, (4, 4), cfg) == dual_anneal(f, (4, 4), cfg)
 
-    def test_single_deviate_matches_array_deviate(self):
-        # Same value and same generator state after, tails included: at
-        # high temperature most raw deviates pass the tail limit.
-        visitor = _Visitor(2.62)
-        temps = np.random.default_rng(5).uniform(-3.0, 4.0, 400)
-        for seed, log_t in enumerate(temps):
-            r_one, r_arr = np.random.default_rng(seed), np.random.default_rng(seed)
-            one = visitor._deviate_one(r_one, 10.0 ** log_t)
-            arr = visitor._deviate(r_arr, 10.0 ** log_t, 1)
-            assert one == arr[0]
-            assert r_one.uniform() == r_arr.uniform()
-
     def test_dual_anneal_call_count(self):
         # One member: no per-timestep re-score, so one initial evaluation
         # plus 2p visits per iteration.
@@ -467,43 +453,15 @@ class TestAnnealerPrimitives:
         with pytest.raises(ValueError, match="member 0 has shape"):
             population_anneal(f, (3, 3), cfg, 1, initial=[np.array([0.5])])
 
-    def test_wrap_matches_numpy_mod(self):
-        # A tiny negative wraps up to exactly the span, as np.mod does.
-        for span in (1.0, 3.0, 7.0):
-            values = [-0.0, -1e-17, -5e-324, span - math.ulp(span), span, 2 * span,
-                      -span - 0.25, 0.0, 1e8 + 0.5]
-            got = _wrap(values, [span] * len(values))
-            want = (np.mod(np.array(values) - 0.0, span) + 0.0).tolist()
-            assert got == want
-            assert [math.copysign(1.0, v) for v in got] == [
-                math.copysign(1.0, v) for v in want]
-        assert _wrap([-1e-17], [3.0]) == [3.0]
-
-    def test_splice_matches_full_wrap_and_decode(self):
-        # One coordinate moves; the rest are wrapped as np.mod would, which
-        # sends a coordinate at exactly its span to 0.
-        rng = np.random.default_rng(11)
-        for _ in range(300):
-            bounds = tuple(int(a) for a in rng.integers(1, 6, size=rng.integers(1, 6)))
-            span = [float(a) for a in bounds]
-            x = [float(rng.uniform(0, a)) for a in bounds]
-            if rng.random() < 0.5:
-                i = int(rng.integers(len(x)))
-                x[i] = span[i]
-            k = int(rng.integers(len(x)))
-            kind = rng.integers(4)
-            if kind == 0:
-                step = float(rng.normal(0, 3))
-            elif kind == 1:
-                x[k], step = 0.0, -1e-17  # wraps up to exactly the span
-            else:
-                step = -x[k] if kind == 2 else span[k]
-            moved = np.array(x)
-            moved[k] = x[k] + step
-            want_x = np.mod(moved - 0.0, np.array(span)) + 0.0
-            got_x, got_sol = _splice(x, decode(x, bounds), k, step, span, bounds)
-            assert got_x == want_x.tolist()
-            assert got_sol == decode(want_x, bounds)
+    @pytest.mark.parametrize("bounds,block", [((0, 2), 0), ((3, 0), 1), ((2, -1), 1)])
+    def test_bounds_below_one_rejected(self, bounds, block):
+        calls = []
+        cfg = AnnealerConfig(max_iterations=5, seed=0)
+        with pytest.raises(ValueError, match=f"block {block} has"):
+            dual_anneal(lambda s: calls.append(s) or 0.0, bounds, cfg)
+        with pytest.raises(ValueError, match=f"block {block} has"):
+            population_anneal(lambda s, o: calls.append(s) or 0.0, bounds, cfg, 2)
+        assert calls == []
 
     def test_population_permutation_symmetry(self):
         # Rearranged initial members produce the rearranged outputs.
@@ -581,54 +539,25 @@ class TestEngines:
         assert hs_distance(unitary_of(circ), unitary_of(original)) < 1e-10
 
 
-# --- the annealer as it was before its lists and splice, kept as reference ---
-# The visiting scale (``_sigma``) is inherited: it did not change.
+# --- a plain per-visit reference of the annealer -------------------------------
+# Each member draws a timestep's normals and uniforms when its turn comes;
+# each visit computes its own steps from its slice of them with NumPy and
+# wraps the coordinates it moved with np.mod.  The visiting scale
+# (``_sigma``) is the annealer's.
 
 _REF_TAIL_LIMIT = 1e8
 
 
-class _RefVisitor(_Visitor):
-    def __init__(self, q_v, lower, upper):
-        super().__init__(q_v)
-        self.lower = lower
-        self.upper = upper
-        self.span = upper - lower
-
-    def _deviate(self, rng, temperature, size):
-        qv = self.q_v
-        normals = rng.normal(size=2 * size)
-        x = normals[:size] * self._sigma(temperature)
-        y = normals[size:]
-        den = np.exp((qv - 1.0) * np.log(np.abs(y)) / (3.0 - qv))
-        visit = x / den
-        tails = rng.uniform(size=2 * size)
-        values = visit.tolist()
-        if any(v > _REF_TAIL_LIMIT for v in values):
-            visit = np.where(visit > _REF_TAIL_LIMIT, _REF_TAIL_LIMIT * tails[:size], visit)
-        if any(v < -_REF_TAIL_LIMIT for v in values):
-            visit = np.where(visit < -_REF_TAIL_LIMIT, -_REF_TAIL_LIMIT * tails[size:], visit)
-        return visit
-
-    def _deviate_one(self, rng, temperature):
-        qv = self.q_v
-        x, y = rng.normal(size=2)
-        visit = x * self._sigma(temperature) / np.exp(
-            (qv - 1.0) * np.log(abs(y)) / (3.0 - qv))
-        high, low = rng.uniform(size=2)
-        if visit > _REF_TAIL_LIMIT:
-            visit = _REF_TAIL_LIMIT * high
-        if visit < -_REF_TAIL_LIMIT:
-            visit = -_REF_TAIL_LIMIT * low
-        return visit
-
-    def visit(self, x, temperature, rng, dim=None):
-        if dim is None:
-            x_new = x + self._deviate(rng, temperature, len(x))
-        else:
-            x_new = x.copy()
-            x_new[dim] = x[dim] + self._deviate_one(rng, temperature)
-        x_new = np.mod(x_new - self.lower, self.span) + self.lower
-        return x_new
+def _ref_steps(visitor, normals, tails, lo, hi, temperature):
+    """Steps lo .. hi - 1 of a member's timestep."""
+    qv = visitor.q_v
+    n = len(normals) // 2
+    x = normals[lo:hi] * visitor._sigma(temperature)
+    y = normals[n + lo : n + hi]
+    visit = x / np.exp((qv - 1.0) * np.log(np.abs(y)) / (3.0 - qv))
+    visit = np.where(visit > _REF_TAIL_LIMIT, _REF_TAIL_LIMIT * tails[lo:hi], visit)
+    return np.where(visit < -_REF_TAIL_LIMIT, -_REF_TAIL_LIMIT * tails[n + lo : n + hi],
+                    visit)
 
 
 def _ref_temperature(t0, step, q_v):
@@ -636,13 +565,13 @@ def _ref_temperature(t0, step, q_v):
     return t0 * (2.0 ** (q_v - 1.0) - 1.0) / (s ** (q_v - 1.0) - 1.0)
 
 
-def _ref_accept(e_new, e_cur, temperature_step, q_a, rng):
+def _ref_accept(e_new, e_cur, temperature_step, q_a, uniform):
     if e_new <= e_cur:
         return True
     pqa = 1.0 - (1.0 - q_a) * (e_new - e_cur) / temperature_step
     if pqa <= 0.0:
         return False
-    return rng.uniform() <= math.exp(math.log(pqa) / (1.0 - q_a))
+    return uniform <= math.exp(math.log(pqa) / (1.0 - q_a))
 
 
 def _ref_decode(x, bounds):
@@ -661,10 +590,11 @@ class _RefMember:
 
 
 def _ref_anneal(f, bounds, cfg, starts):
-    lower, upper = np.zeros(len(bounds)), np.array(bounds, dtype=float)
+    lower, span = np.zeros(len(bounds)), np.array(bounds, dtype=float)
     p = len(bounds)
+    n_steps = p * (p + 1)
     max_iterations = cfg.max_iterations or 1000 * p
-    visitor = _RefVisitor(cfg.q_v, lower, upper)
+    visitor = _Visitor(cfg.q_v)
     members = []
     snapshot = [_ref_decode(x0, bounds) for x0, _ in starts]
     for idx, (x0, rng) in enumerate(starts):
@@ -682,18 +612,29 @@ def _ref_anneal(f, bounds, cfg, starts):
         t_step = temperature / float(it + 1)
         snapshot = [_ref_decode(m.x, bounds) for m in members]
         for idx, m in enumerate(members):
+            normals = m.rng.normal(size=2 * n_steps)
+            uniforms = m.rng.uniform(size=2 * n_steps + 2 * p)
+            tails = uniforms[: 2 * n_steps]
             others = snapshot[:idx] + snapshot[idx + 1 :]
             if len(members) > 1:
                 m.e_cur = f(snapshot[idx], others)
                 if m.e_cur < m.best_e:
                     m.best_x, m.best_e = m.x.copy(), m.e_cur
             for j in range(2 * p):
-                dim = None if j < p else j - p
-                x_visit = visitor.visit(m.x, temperature, m.rng, dim)
+                x_visit = m.x.copy()
+                if j < p:  # every coordinate, by steps j*p .. j*p + p - 1
+                    moved = np.arange(p)
+                    x_visit += _ref_steps(visitor, normals, tails, j * p, j * p + p,
+                                          temperature)
+                else:  # coordinate j - p, by step p*p + j - p
+                    moved = np.array([j - p])
+                    x_visit[moved] += _ref_steps(visitor, normals, tails, p * p + j - p,
+                                                 p * p + j - p + 1, temperature)
+                x_visit[moved] = np.mod(x_visit[moved] - lower[moved], span[moved]) + lower[moved]
                 e_new = f(_ref_decode(x_visit, bounds), others)
                 if e_new < m.best_e:
                     m.best_x, m.best_e = x_visit.copy(), e_new
-                if _ref_accept(e_new, m.e_cur, t_step, cfg.q_a, m.rng):
+                if _ref_accept(e_new, m.e_cur, t_step, cfg.q_a, uniforms[2 * n_steps + j]):
                     m.x, m.e_cur = x_visit, e_new
         since_restart += 1
     return [(_ref_decode(m.best_x, bounds), m.best_e) for m in members]

@@ -430,11 +430,8 @@ class EnumeratedObjective:
 
     def select(self, index: int) -> Solution:
         """Add solution number ``index`` to the results and return it."""
-        choices, rest = [], index
-        for a in reversed(self.counts):  # np.unravel_index stops at 64 blocks
-            rest, choice = divmod(rest, a)
-            choices.append(choice)
-        sol = tuple(reversed(choices))
+        # Python ints: np.unravel_index stops at 64 blocks.
+        sol = tuple(index // s % a for s, a in zip(self.strides, self.counts))
         self.close[self._close_column(sol)] += 1.0
         self.results.append(sol)
         self.indices.append(index)

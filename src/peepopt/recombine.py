@@ -151,7 +151,6 @@ class ObjectiveTables:
         return _fold(map(getitem, self.hs, sol))
 
 
-
 def objective_tables(approx: ApproximationSet, graph: PartitionGraph | None,
                      cfg: ObjectiveConfig) -> ObjectiveTables:
     """The tables the objective under ``cfg`` reads: with the cascade tables

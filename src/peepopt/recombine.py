@@ -9,14 +9,16 @@ set of already-selected solutions, their errors and the values it has
 computed, so a solution the annealer revisits is scored once while that set
 stays the same.
 
-Both engines split on the size of the choice space.  On a space of at
-most ``EXACT_SPACE_LIMIT`` solutions, ``EnumeratedObjective`` holds the
-objective's terms as arrays over the whole space, equal to the objective
-bit for bit.  The population engine anneals all c result circuits
-together (see ``anneal``) and, on such a space, reads each value from
-those arrays.  The iterative engine picks one result circuit per step:
-it scores every solution of such a space at once and takes the minimum,
-and on a larger space it anneals with a single member.
+Each value term (basic error, cascade error, complexity, penalty) is
+written once, as a function of the tables and the choices.  On a space of
+at most ``EXACT_SPACE_LIMIT`` solutions, ``EnumeratedObjective`` evaluates
+the same functions on an open grid of every solution, so its arrays over
+the whole space equal the objective bit for bit.  The population engine
+anneals all c result circuits together (see ``anneal``) and, on such a
+space, reads each value from those arrays.  The iterative engine picks
+one result circuit per step: it scores every solution of such a space at
+once and takes the minimum, and on a larger space it anneals with a
+single member.
 """
 from __future__ import annotations
 
@@ -98,10 +100,17 @@ class ObjectiveTables:
     ``original_cnots`` is the original circuit's CNOT count.
 
     ``pair_distances[b][i][j]`` is the HS distance between candidates i and
-    j of block b.  In cascade mode ``edge_distances[e][ci][cj]`` is the HS
-    distance of the cascaded pair unitary for edge e under choices
-    (ci, cj) to the original pair, and ``incident[b]`` lists the
-    ``(edge, weight)`` pairs touching block b.
+    j of block b.  In cascade mode ``edge_distances[(i, j)][ci * a_j + cj]``
+    is the HS distance of the cascaded pair unitary for edge (i, j) under
+    choices (ci, cj) to the original pair, and ``incident[b]`` lists the
+    ``(edge, weight, a_j)`` of the edges touching block b, a_j being the
+    candidate count of block j.
+
+    The term methods take the choices ``sol`` either as one solution's
+    ints, on these list tables, or as an open grid of every solution, on
+    ``as_arrays()``: ``np.ix_`` index arrays over the blocks with more than
+    one candidate and 0 for the others.  Each term adds from the left in
+    block order, so both forms give the same bits.
     """
 
     hs: tuple[tuple[float, ...], ...]
@@ -109,8 +118,8 @@ class ObjectiveTables:
     fidelity: tuple[tuple[float, ...], ...] | None
     original_cnots: int
     pair_distances: tuple[list[list[float]], ...]
-    edge_distances: dict[tuple[int, int], list[list[float]]] | None = None
-    incident: tuple[tuple[tuple[tuple[int, int], int], ...], ...] | None = None
+    edge_distances: dict[tuple[int, int], list[float]] | None = None
+    incident: tuple[tuple[tuple[tuple[int, int], int, int], ...], ...] | None = None
 
     @classmethod
     def build(cls, approx: ApproximationSet,
@@ -137,18 +146,63 @@ class ObjectiveTables:
         for i, j in graph.edges:
             union, pos_i, pos_j = pair_embedding(approx.blocks, i, j)
             pairs = pair_unitary_table(unitaries[i], unitaries[j], pos_i, pos_j, len(union))
-            edge_distances[(i, j)] = [
-                [hs_distance(pairs[0][0], u) for u in row] for row in pairs
-            ]
+            edge_distances[(i, j)] = [hs_distance(pairs[0][0], u) for row in pairs for u in row]
         incident = tuple(
-            tuple((e, graph.edges[e]) for e in graph.incident(b))
+            tuple((e, graph.edges[e], len(cands[e[1]])) for e in graph.incident(b))
             for b in range(len(approx.blocks))
         )
         return cls(*terms, edge_distances, incident)
 
-    def basic_error(self, sol: Solution) -> float:
-        """``circuit_error_basic`` of a solution, read from ``hs``."""
+    def as_arrays(self) -> "ObjectiveTables":
+        """The same tables with every row an array, for an open grid of choices."""
+        def rows(table):
+            return None if table is None else tuple(map(np.array, table))
+        edges = self.edge_distances
+        return replace(
+            self, hs=rows(self.hs), cnots=rows(self.cnots), fidelity=rows(self.fidelity),
+            pair_distances=rows(self.pair_distances),
+            edge_distances=None if edges is None else {e: np.array(t) for e, t in edges.items()})
+
+    def basic_error(self, sol):
+        """``circuit_error_basic`` of the choices, read from ``hs``."""
         return _fold(map(getitem, self.hs, sol))
+
+    def cascade_error(self, sol):
+        """``circuit_error_cascade`` of the choices."""
+        if self.incident is None:
+            raise ValueError("cascade error needs ObjectiveTables built with a partition graph")
+        edges = self.edge_distances
+        total = 0.0
+        for b, incident in enumerate(self.incident):
+            if not incident:
+                total = total + self.hs[b][sol[b]]
+                continue
+            num = 0.0
+            den = 0.0
+            for (i, j), w, a_j in incident:
+                num = num + w * edges[i, j][sol[i] * a_j + sol[j]]
+                den += w
+            total = total + num / den
+        return total
+
+    def error(self, sol, mode: Mode):
+        """The error that ``epsilon`` caps under ``mode``."""
+        return self.cascade_error(sol) if mode is Mode.CASCADE else self.basic_error(sol)
+
+    def complexity(self, sol, mode: Mode):
+        """The mean fidelity score in ``BASIC_ERR`` mode, else the CNOT
+        count over the original's (0 when the original has none)."""
+        if mode is Mode.BASIC_ERR:
+            return _fold(map(getitem, self.fidelity, sol)) / len(sol)
+        orig = self.original_cnots
+        return sum(map(getitem, self.cnots, sol)) / orig if orig else 0.0
+
+
+def _penalty(err, cfg: ObjectiveConfig):
+    """The value of a solution whose error is over ``epsilon``."""
+    if cfg.mode is Mode.QUEST:
+        return QUEST_THRESHOLD_PENALTY
+    return err - cfg.epsilon + GRADIENT_PENALTY_BASE
 
 
 def objective_tables(approx: ApproximationSet, graph: PartitionGraph | None,
@@ -180,20 +234,7 @@ def circuit_error_cascade(
     passed in must have been built with a partition graph."""
     if tables is None:
         tables = ObjectiveTables.build(approx, graph)
-    if tables.incident is None:
-        raise ValueError("cascade error needs ObjectiveTables built with a partition graph")
-    total = 0.0
-    for b, incident in enumerate(tables.incident):
-        if not incident:
-            total += tables.hs[b][sol[b]]
-            continue
-        num = 0.0
-        den = 0.0
-        for (i, j), w in incident:
-            num += w * tables.edge_distances[i, j][sol[i]][sol[j]]
-            den += w
-        total += num / den
-    return total
+    return tables.cascade_error(sol)
 
 
 def differentiation(
@@ -235,30 +276,6 @@ def reassemble(sol: Solution, approx: ApproximationSet) -> Circuit:
     )
 
 
-def _pairwise_sum(term: Callable[[int], float | np.ndarray], lo: int,
-                  n: int) -> float | np.ndarray:
-    """Sum of ``term(lo) ... term(lo + n - 1)``, floats or arrays, in the
-    order NumPy's pairwise summation adds the elements of a float64 vector:
-    0.0 plus this sum is ``np.sum`` of the vector, bit for bit."""
-    if n < 8:
-        total = 0.0
-        for b in range(lo, lo + n):
-            total = total + term(b)
-        return total
-    if n <= 128:
-        r = [term(b) for b in range(lo, lo + 8)]
-        i = 8
-        while i < n - n % 8:
-            r = [acc + term(lo + i + j) for j, acc in enumerate(r)]
-            i += 8
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for b in range(lo + i, lo + n):
-            total += term(b)
-        return total
-    half = n // 2 - n // 2 % 8
-    return _pairwise_sum(term, lo, half) + _pairwise_sum(term, lo + half, n - half)
-
-
 def objective(
     sol: Solution,
     others: Sequence[Solution],
@@ -276,21 +293,11 @@ def objective(
         return DUPLICATE_PENALTY
     if tables is None:
         tables = objective_tables(approx, graph, cfg)
-    if cfg.mode is Mode.BASIC_ERR:
-        # Mean fidelity score, summed as np.mean sums: same bits.
-        scores = [*map(getitem, tables.fidelity, sol)]
-        g = (0.0 + _pairwise_sum(scores.__getitem__, 0, len(scores))) / len(scores)
-    else:
-        if cfg.mode is Mode.CASCADE:
-            err = circuit_error_cascade(sol, approx, graph, tables)
-        else:
-            err = tables.basic_error(sol)
+    if cfg.mode is not Mode.BASIC_ERR:
+        err = tables.error(sol, cfg.mode)
         if err > cfg.epsilon:
-            if cfg.mode is Mode.QUEST:
-                return QUEST_THRESHOLD_PENALTY
-            return err - cfg.epsilon + GRADIENT_PENALTY_BASE
-        orig = tables.original_cnots
-        g = sum(map(getitem, tables.cnots, sol)) / orig if orig else 0.0
+            return _penalty(err, cfg)
+    g = tables.complexity(sol, cfg.mode)
     t = differentiation(sol, others, approx, tables, errors)
     return cfg.w * g + (1.0 - cfg.w) * t
 
@@ -334,35 +341,14 @@ def make_objective(
 EXACT_SPACE_LIMIT = 1 << 16  # largest choice space the iterative engine enumerates
 
 
-def _broadcast(table, axes: tuple[int, ...], counts: Sequence[int]) -> np.ndarray:
-    """``table``, indexed by the choices of the ascending blocks ``axes``, as
-    a read-only view over the whole space whose C order is the flat
-    ``itertools.product`` order of the solutions."""
-    split, start = [], 0
-    for b in axes:
-        split += [math.prod(counts[start:b]), counts[b]]
-        start = b + 1
-    split.append(math.prod(counts[start:]))
-    shape = [n for b in axes for n in (counts[b], 1)]
-    return np.broadcast_to(np.reshape(table, shape), split)
-
-
-def _add_over_space(acc: np.ndarray, table, axes: tuple[int, ...],
-                    counts: Sequence[int]) -> None:
-    """Add ``table``'s value for each solution's choices at ``axes`` to the
-    flat per-solution array ``acc``, in place."""
-    values = _broadcast(table, axes, counts)
-    view = acc.reshape(values.shape)
-    np.add(view, values, out=view)
-
-
 class EnumeratedObjective:
     """The objective at every solution of a choice space, against a growing
     list of selected results.
 
     Solutions are numbered in ``itertools.product`` order.  The
-    per-solution terms are arrays over the whole space, built once from
-    per-block vectors; each add runs in the order ``objective`` runs it, so
+    per-solution terms are arrays over the whole space, built once by the
+    term methods of ``ObjectiveTables`` that ``objective`` calls, on an
+    open grid of every solution in place of one solution's ints; so
     ``values()[n]`` equals ``objective(solution n, results, ...)`` bit for
     bit.  Each selected result adds its close column (``_close_column``)
     to a running count of differentiation hits.  ``lookup`` reads the
@@ -371,48 +357,24 @@ class EnumeratedObjective:
 
     def __init__(self, approx: ApproximationSet, graph: PartitionGraph | None,
                  cfg: ObjectiveConfig):
-        tables = objective_tables(approx, graph, cfg)
+        tables = objective_tables(approx, graph, cfg).as_arrays()
         self.counts = counts = approx.counts()
         self.strides = [math.prod(counts[b + 1 :]) for b in range(len(counts))]
         self.cfg = cfg
-        size = math.prod(counts)
-        self.pair = [np.array(t) for t in tables.pair_distances]
-        self.basic = np.zeros(size)
-        for b, v in enumerate(tables.hs):
-            _add_over_space(self.basic, v, (b,), counts)
-        if cfg.mode is Mode.BASIC_ERR:
-            g = 0.0 + _pairwise_sum(
-                lambda b: _broadcast(tables.fidelity[b], (b,), counts).reshape(-1),
-                0, len(counts))
-            g /= len(counts)
-            self.penalized = None
-        else:
-            cnots = np.zeros(size)  # whole numbers, so the sum is exact
-            for b, v in enumerate(tables.cnots):
-                _add_over_space(cnots, v, (b,), counts)
-            orig = tables.original_cnots
-            g = cnots / orig if orig else np.zeros(size)
-            err = self.basic
-            if cfg.mode is Mode.CASCADE:
-                err = np.zeros(size)
-                for b, incident in enumerate(tables.incident):
-                    if not incident:
-                        _add_over_space(err, tables.hs[b], (b,), counts)
-                        continue
-                    num = np.zeros(size)
-                    den = 0.0
-                    for edge, w in incident:
-                        _add_over_space(num, w * np.array(tables.edge_distances[edge]),
-                                        edge, counts)
-                        den += w
-                    num /= den
-                    err += num
-            self.penalized = err > cfg.epsilon
-            self.penalty = (QUEST_THRESHOLD_PENALTY if cfg.mode is Mode.QUEST
-                            else err - cfg.epsilon + GRADIENT_PENALTY_BASE)
-        g *= cfg.w
-        self.weighted = g
-        self.close = np.zeros(size)  # counts of results each solution is close to
+        shape = [a for a in counts if a > 1]
+        axes = iter(np.ix_(*map(range, shape)))
+        grid = tuple(next(axes) if a > 1 else 0 for a in counts)
+
+        def over_space(term):  # flat, in itertools.product order
+            return np.broadcast_to(term, shape).ravel()
+
+        self.pair = tables.pair_distances
+        self.basic = over_space(tables.basic_error(grid))
+        err = over_space(tables.error(grid, cfg.mode))
+        self.penalized = (err > cfg.epsilon) & (cfg.mode is not Mode.BASIC_ERR)  # no gate there
+        self.penalty = _penalty(err, cfg)
+        self.weighted = over_space(cfg.w * tables.complexity(grid, cfg.mode))
+        self.close = np.zeros(self.basic.size)  # counts of results each solution is close to
         self.results: list[Solution] = []
         self.indices: list[int] = []
 
@@ -421,8 +383,7 @@ class EnumeratedObjective:
         value = self.close / max(len(self.results), 1)
         value *= 1.0 - self.cfg.w
         value += self.weighted
-        if self.penalized is not None:
-            np.copyto(value, self.penalty, where=self.penalized)
+        np.copyto(value, self.penalty, where=self.penalized)
         if self.indices and not self.cfg.allow_duplicates:
             value[self.indices] = DUPLICATE_PENALTY
         return value
@@ -459,10 +420,7 @@ class EnumeratedObjective:
         """
         strides = self.strides
         weighted = self.weighted.tolist()
-        if self.penalized is None:
-            fixed = [None] * len(weighted)
-        else:  # the penalty where the error is over epsilon
-            fixed = np.where(self.penalized, self.penalty, None).tolist()
+        fixed = np.where(self.penalized, self.penalty, None).tolist()  # the penalized values
         scale = 1.0 - self.cfg.w
         allow_duplicates = self.cfg.allow_duplicates
         held: list[Solution] = []

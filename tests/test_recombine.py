@@ -1,8 +1,10 @@
 """Unit tests for the objective, its error metrics, the annealers and the
 exact selection."""
+import functools
 import importlib
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +31,6 @@ from peepopt.recombine import (
     Mode,
     ObjectiveConfig,
     ObjectiveTables,
-    _pairwise_sum,
     circuit_error_basic,
     circuit_error_cascade,
     differentiation,
@@ -221,13 +222,13 @@ class TestObjectiveTables:
 
 def _reference_objective(sol, others, approx, graph, cfg):
     """The objective written from the candidates' own fields, with the mean
-    fidelity score taken by np.mean."""
+    fidelity score summed from the left."""
     from peepopt.circuits import hs_distance
     chosen = approx.chosen(sol)
     if not cfg.allow_duplicates and tuple(sol) in map(tuple, others):
         return DUPLICATE_PENALTY
     if cfg.mode is Mode.BASIC_ERR:
-        g = float(np.mean([c.fidelity_score for c in chosen]))
+        g = functools.reduce(operator.add, (c.fidelity_score for c in chosen), 0.0) / len(chosen)
     else:
         err = (circuit_error_cascade(sol, approx, graph) if cfg.mode is Mode.CASCADE
                else circuit_error_basic(sol, approx))
@@ -780,8 +781,9 @@ class TestExactSelection:
             assert branches == want, mode
 
     def test_many_blocks(self):
-        # More blocks than NumPy has dimensions, and enough for each branch of
-        # the pairwise sum behind the mean fidelity score.
+        # More blocks than NumPy has dimensions; the open grid that builds
+        # the whole-space arrays has an axis only for the three blocks with
+        # two candidates.
         rng = np.random.default_rng(8)
         def small():  # of mixed magnitudes, so that the order of adds shows
             return float(rng.uniform(0, 0.01) * 10.0 ** -int(rng.integers(4)))
@@ -807,13 +809,6 @@ class TestExactSelection:
         values = space.values()
         assert values[0] == DUPLICATE_PENALTY and (values[1:] == 0.5).all()  # t = 1
         _check_every_step(approx, None, cfg, 3)
-
-    def test_pairwise_sum_matches_numpy(self):
-        rng = np.random.default_rng(2)
-        for n in list(range(1, 40)) + [127, 128, 129, 200, 300]:
-            rows = rng.uniform(0, 1, (n, 5)) * 10.0 ** rng.integers(-4, 4, (n, 5))
-            got = 0.0 + _pairwise_sum(lambda b: rows[b], 0, n)
-            assert got.tolist() == [float(np.sum(col)) for col in rows.T], n
 
     def test_ties_take_the_first_solution_in_product_order(self):
         same = (0.0, 1, 0.5, np.eye(2))
@@ -852,6 +847,47 @@ class TestExactSelection:
             ann_cfg = AnnealerConfig(max_iterations=15, seed=4)
             got = recombine_iterative(approx, graph, cfg, ann_cfg, 4)
             assert got == _annealed_iterative(approx, graph, cfg, ann_cfg, 4), mode
+
+    def test_above_the_limit_without_patching(self, monkeypatch):
+        # 17 blocks of two candidates: 2^17 solutions, so every engine
+        # anneals on make_objective.
+        rng = np.random.default_rng(17)
+        specs = [[(0.0, 1, float(rng.uniform()), np.eye(2)),
+                  (float(rng.uniform(0.01, 0.03)), 0, float(rng.uniform()), X)]
+                 for _ in range(17)]
+        approx = synthetic_set(specs)
+        graph = build_partition_graph(approx.blocks)
+        assert math.prod(approx.counts()) > recombine_module.EXACT_SPACE_LIMIT
+
+        def not_enumerated(*args):
+            raise AssertionError("EnumeratedObjective built")
+
+        monkeypatch.setattr(recombine_module, "EnumeratedObjective", not_enumerated)
+        cfg = ObjectiveConfig(epsilon=0.1)
+        ann_cfg = AnnealerConfig(max_iterations=20, seed=3)
+        for name, (engine, _) in CONFIGURATIONS.items():
+            sols = recombine(name, approx, graph, cfg, ann_cfg, 3)
+            assert sols == recombine(name, approx, graph, cfg, ann_cfg, 3), name
+            if engine == "population":
+                assert len(sols) == 3, name
+            else:
+                assert sols and len(set(sols)) == len(sols), name
+            if name in ("quest", "basic"):
+                assert max(circuit_error_basic(s, approx) for s in sols) <= cfg.epsilon
+
+    @pytest.mark.parametrize("name", sorted(REAL_SETS))
+    def test_quest_and_basic_coincide(self, name):
+        # No candidate has more CNOTs than its block's original, so every
+        # unpenalized value is at most 1 and every penalty at least
+        # GRADIENT_PENALTY_BASE: exact selection never picks a penalized
+        # solution, whichever penalty the configuration gives it.
+        approx, graph = _expanded(*REAL_SETS[name])
+        assert all(c.cnots <= cands[0].cnots for cands in approx.candidates for c in cands)
+        for epsilon in (0.02, 0.1, 1.0):
+            cfg = ObjectiveConfig(epsilon=epsilon)
+            quest, basic = (recombine(n, approx, graph, cfg, AnnealerConfig(), 8)
+                            for n in ("quest", "basic"))
+            assert quest and quest == basic, epsilon
 
     def test_exact_selection_needs_what_objective_needs(self):
         approx = synthetic_set([[(0.0, 1, None, np.eye(2)), (0.05, 0, None, X)]])

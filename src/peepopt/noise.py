@@ -229,6 +229,7 @@ def _run_channel(qubits: tuple[int, ...], gates: list, noise: NoiseModel,
 
 
 _CUT_MIN = 4096
+DENSITY_QUBIT_LIMIT = 12  # widest circuit whose 4^n density state the simulator holds
 
 
 def _evolve(circuit: Circuit, noise: NoiseModel,
@@ -252,8 +253,7 @@ def _evolve(circuit: Circuit, noise: NoiseModel,
     other kernels.
     """
     n = circuit.num_qubits
-    if n > 12:
-        raise DimensionError(f"{n} qubits exceeds the 12-qubit density limit")
+    check_width(n)
     runs = _runs(circuit.gates)
     last = {q: i for i, (qubits, _) in enumerate(runs) for q in qubits} if measure else {}
     t = np.ones((1, 1), dtype=complex)
@@ -347,6 +347,12 @@ def simulate_distribution(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
     order = [held.index(n - 1 - i) for i in range(n)]
     probs = np.clip(np.real(diag), 0.0, None).transpose(order).reshape(-1)
     return _readout_flips(probs, noise.readout)
+
+
+def check_width(n: int) -> None:
+    """Raise ``DimensionError`` if the density simulator cannot hold ``n`` qubits."""
+    if n > DENSITY_QUBIT_LIMIT:
+        raise DimensionError(f"{n} qubits exceeds the {DENSITY_QUBIT_LIMIT}-qubit density limit")
 
 
 def check_readout(readout: tuple[float, ...] | None, num_qubits: int) -> None:

@@ -22,6 +22,7 @@ from .noise import (
     DimensionError,
     NoiseModel,
     check_readout,
+    check_width,
     counts_to_distribution,
     sample_counts,
     simulate_distribution,
@@ -227,6 +228,7 @@ def evaluate_circuit(path: str, cfg: RunConfig) -> CircuitReport:
         raise PipelineError("parse", f"{path}: {exc}") from exc
 
     try:
+        check_width(circuit.num_qubits)
         check_readout(cfg.noise.readout, circuit.num_qubits)
     except DimensionError as exc:
         raise PipelineError("input", f"{path}: {exc}") from exc

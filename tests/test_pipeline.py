@@ -164,6 +164,19 @@ class TestEvaluate:
         assert exc.value.stage == "input"
         assert f"readout has {len(readout)} entries for a 3-qubit circuit" in str(exc.value)
 
+    def test_width_checked_before_expand(self, tmp_path, monkeypatch):
+        def no_expand(*args, **kwargs):
+            raise AssertionError("expand ran")
+
+        monkeypatch.setattr(pipeline, "expand_all", no_expand)
+        wide = tmp_path / "wide.qasm"
+        wide.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[13];\n'
+                        + "".join(f"cx q[{q}],q[{q + 1}];\n" for q in range(12)))
+        with pytest.raises(PipelineError) as exc:
+            evaluate_circuit(str(wide), fast_config(wide))
+        assert exc.value.stage == "input"
+        assert "13 qubits exceeds the 12-qubit density limit" in str(exc.value)
+
     def test_cnot_reduction_empty_and_zero_base(self, tiny_qasm):
         from peepopt.expand import expand_all, OptBudget
         from peepopt.partition import scan_partition

@@ -560,6 +560,10 @@ def _expand(blocks, d_keep: float, seed, budget: OptBudget | None) -> list[list[
     """Candidate lists of ``blocks``: the exact original plus the kept fit of
     every CX budget m below its CX count, by ascending m.  All (block, m)
     fits run together in lockstep batches, each with seed [seed, block id, m]."""
+    if not d_keep >= 0:
+        raise ValueError(f"d_keep must be non-negative, got {d_keep}")
+    if np.any(np.asarray(seed) < 0):
+        raise ValueError(f"seed must be non-negative, got {seed}")
     budget = budget or OptBudget()
     base_seed = list(np.atleast_1d(seed).astype(np.int64))
     targets = [unitary_of(b.local_circuit) for b in blocks]
@@ -603,10 +607,6 @@ def expand_all(
     budget: OptBudget | None = None,
 ) -> ApproximationSet:
     """Expand every block; the fits of all blocks run in lockstep batches."""
-    if not d_keep >= 0:
-        raise ValueError(f"d_keep must be non-negative, got {d_keep}")
-    if np.any(np.asarray(seed) < 0):
-        raise ValueError(f"seed must be non-negative, got {seed}")
     return ApproximationSet(num_qubits, list(blocks), _expand(blocks, d_keep, seed, budget))
 
 

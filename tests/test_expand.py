@@ -1,4 +1,5 @@
 """Unit tests for the ansatz, optimizer, and block expansion."""
+import math
 from collections import Counter
 
 import numpy as np
@@ -610,6 +611,18 @@ class TestOptBudgetValidation:
 
 
 class TestExpandBlock:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"d_keep": -1.0}, "d_keep must be non-negative, got -1.0"),
+        ({"d_keep": math.nan}, "d_keep must be non-negative, got nan"),
+        ({"seed": -3}, "seed must be non-negative, got -3"),
+    ])
+    def test_rejects_what_expand_all_rejects(self, kwargs, message):
+        blocks = scan_partition(Circuit(2, (cx(0, 1),)), 2)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            expand_block(blocks[0], **kwargs)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            expand_all(blocks, 2, **kwargs)
+
     def test_cx_free_block_single_candidate(self):
         circ = Circuit(2, (rx(0.3, 0), rx(0.1, 1)))
         (block,) = scan_partition(circ, 2)

@@ -14,8 +14,9 @@ written once, as a function of the tables and the choices.  On a space of
 at most ``EXACT_SPACE_LIMIT`` solutions, ``EnumeratedObjective`` evaluates
 the same functions on an open grid of every solution, so its arrays over
 the whole space equal the objective bit for bit.  The population engine
-anneals all c result circuits together (see ``anneal``) and, on such a
-space, reads each value from those arrays.  The iterative engine picks
+anneals all c result circuits together (see ``anneal``) over the blocks
+with more than one candidate only, and, on such a space, reads each value
+from those arrays.  The iterative engine picks
 one result circuit per step: it scores every solution of such a space at
 once and takes the minimum, and on a larger space it anneals with a
 single member.
@@ -266,6 +267,14 @@ def differentiation(
     return close / len(others)
 
 
+def spread(choice: Solution, blocks: Sequence[int], num_blocks: int) -> Solution:
+    """The solution with ``choice`` at ``blocks`` and candidate 0 elsewhere."""
+    sol = [0] * num_blocks
+    for b, c in zip(blocks, choice):
+        sol[b] = c
+    return tuple(sol)
+
+
 def reassemble(sol: Solution, approx: ApproximationSet) -> Circuit:
     """Full circuit for a solution: chosen candidates composed in block order."""
     chosen = approx.chosen(sol)
@@ -353,22 +362,29 @@ class EnumeratedObjective:
     bit.  Each selected result adds its close column (``_close_column``)
     to a running count of differentiation hits.  ``lookup`` reads the
     same arrays one solution at a time.
+
+    The grid's axes are the blocks with more than one candidate
+    (``free``), and ``strides`` are theirs.  A choice vector holds one
+    candidate index per such block; every other block has one candidate,
+    0, whose distance table is ``[[0.0]]`` and adds nothing.
     """
 
     def __init__(self, approx: ApproximationSet, graph: PartitionGraph | None,
                  cfg: ObjectiveConfig):
         tables = objective_tables(approx, graph, cfg).as_arrays()
-        self.counts = counts = approx.counts()
-        self.strides = [math.prod(counts[b + 1 :]) for b in range(len(counts))]
+        counts = approx.counts()
+        self.num_blocks = len(counts)
+        self.free = [b for b, a in enumerate(counts) if a > 1]
+        self.shape = shape = [counts[b] for b in self.free]
+        self.strides = [math.prod(shape[i + 1 :]) for i in range(len(shape))]
         self.cfg = cfg
-        shape = [a for a in counts if a > 1]
         axes = iter(np.ix_(*map(range, shape)))
         grid = tuple(next(axes) if a > 1 else 0 for a in counts)
 
         def over_space(term):  # flat, in itertools.product order
             return np.broadcast_to(term, shape).ravel()
 
-        self.pair = tables.pair_distances
+        self.pair = [tables.pair_distances[b] for b in self.free]
         self.basic = over_space(tables.basic_error(grid))
         err = over_space(tables.error(grid, cfg.mode))
         self.penalized = (err > cfg.epsilon) & (cfg.mode is not Mode.BASIC_ERR)  # no gate there
@@ -391,32 +407,35 @@ class EnumeratedObjective:
     def select(self, index: int) -> Solution:
         """Add solution number ``index`` to the results and return it."""
         # Python ints: np.unravel_index stops at 64 blocks.
-        sol = tuple(index // s % a for s, a in zip(self.strides, self.counts))
-        self.close[self._close_column(sol)] += 1.0
+        choice = tuple(index // s % a for s, a in zip(self.strides, self.shape))
+        self.close[self._close_column(choice)] += 1.0
+        sol = spread(choice, self.free, self.num_blocks)
         self.results.append(sol)
         self.indices.append(index)
         return sol
 
-    def _close_column(self, sol: Solution) -> np.ndarray:
-        """Which solutions ``differentiation`` counts as close to ``sol``:
-        their distance to it is at most either basic error.  The distances
-        are outer sums of the blocks' distance columns in block order, so
-        each is added from the left as ``differentiation`` adds it."""
+    def _close_column(self, choice: Solution) -> np.ndarray:
+        """Which solutions ``differentiation`` counts as close to the
+        choice vector: their distance to it is at most either basic error.
+        The distances are outer sums of the blocks' distance columns in
+        block order, so each is added from the left as ``differentiation``
+        adds it."""
         d = 0.0
-        for table, choice in zip(self.pair, sol):
-            d = np.add.outer(d, table[:, choice]).ravel()
-        return (d <= self.basic) | (d <= self.basic[sum(map(mul, sol, self.strides))])
+        for table, c in zip(self.pair, choice):
+            d = np.add.outer(d, table[:, c]).ravel()
+        return (d <= self.basic) | (d <= self.basic[sum(map(mul, choice, self.strides))])
 
     def lookup(self) -> Callable[[Solution, list[Solution]], float]:
-        """f(solution, others) -> value, equal to ``objective`` bit for bit,
-        read from the arrays at the solution's flat index.
+        """f(choice, others) -> value, read from the arrays at the choice
+        vector's flat index; the others are choice vectors too.  The value
+        equals ``objective`` of the ``spread`` solutions bit for bit.
 
         The differentiation term adds one byte per other solution, read
         from that solution's close column.  Columns are kept for the
         current and the previous ``others`` only: a population's members
         see others that differ in one solution, so each member moved since
         the last timestep costs one column.  ``others``, a list of
-        solution tuples, is compared by value on every call.
+        tuples, is compared by value on every call.
         """
         strides = self.strides
         weighted = self.weighted.tolist()
@@ -498,15 +517,31 @@ def recombine_population(
 ) -> list[Solution]:
     """Population engine: c members annealed together, duplicates allowed.
 
-    On a space of at most ``EXACT_SPACE_LIMIT`` solutions the objective is
-    read from whole-space arrays (``EnumeratedObjective.lookup``)."""
+    The members anneal over the blocks with more than one candidate only;
+    every other block keeps its one candidate, 0, and a space without a
+    choice gives c copies of that solution.  A ``max_iterations`` of None
+    still means 1000 per block, all blocks counted.  On a space of at most
+    ``EXACT_SPACE_LIMIT`` solutions the objective is read from whole-space
+    arrays (``EnumeratedObjective.lookup``)."""
+    if c < 1:
+        raise ValueError(f"population size must be positive, got {c}")
     obj_cfg = replace(obj_cfg, allow_duplicates=True)
-    if math.prod(approx.counts()) <= EXACT_SPACE_LIMIT:
+    counts = approx.counts()
+    free = [b for b, a in enumerate(counts) if a > 1]
+    if not free:
+        return [(0,) * len(counts)] * c
+    if ann_cfg.max_iterations is None:
+        ann_cfg = replace(ann_cfg, max_iterations=1000 * len(counts))
+    if math.prod(counts) <= EXACT_SPACE_LIMIT:
         f = EnumeratedObjective(approx, graph, obj_cfg).lookup()
     else:
-        f = make_objective(approx, graph, obj_cfg)
-    out = population_anneal(f, approx.counts(), ann_cfg, c)
-    return [sol for sol, _ in out]
+        whole = make_objective(approx, graph, obj_cfg)
+
+        def f(choice, others):
+            return whole(spread(choice, free, len(counts)),
+                         [spread(s, free, len(counts)) for s in others])
+    out = population_anneal(f, [counts[b] for b in free], ann_cfg, c)
+    return [spread(sol, free, len(counts)) for sol, _ in out]
 
 
 # Named configurations: (engine, mode).  Only the population engine allows

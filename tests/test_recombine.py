@@ -931,13 +931,17 @@ class TestWholeSpaceLookup:
             branches = set()
             for epsilon, allow in ((0.02, True), (0.1, True), (0.1, False)):
                 cfg = ObjectiveConfig(epsilon=epsilon, mode=mode, allow_duplicates=allow)
-                f = EnumeratedObjective(approx, graph, cfg).lookup()
+                space = EnumeratedObjective(approx, graph, cfg)
+                f = space.lookup()
                 tables = objective_tables(approx, graph, cfg)
+
+                def choice(sol):  # the blocks with more than one candidate
+                    return tuple(sol[b] for b in space.free)
                 for others in self._populations(sols, rng):
                     probe = [sols[0], sols[-1], *others]
                     probe += [sols[i] for i in rng.integers(len(sols), size=40)]
                     for sol in probe:
-                        got = f(sol, others)
+                        got = f(choice(sol), [*map(choice, others)])
                         want = objective(sol, others, approx, graph, cfg, tables)
                         assert np.float64(got).tobytes() == np.float64(want).tobytes()
                         branches.add(_branch(want))
@@ -962,3 +966,83 @@ class TestWholeSpaceLookup:
                 annealed = recombine_population(approx, graph, cfg, ann_cfg, 4)
                 assert calls
             assert exact == annealed, mode
+
+
+class TestPopulationOverChoices:
+    """The population engine anneals the blocks with more than one
+    candidate only; every other block keeps candidate 0."""
+
+    COUNTS = (1, 3, 1, 1, 2, 1)
+
+    @staticmethod
+    def _mixed_set(counts, seed=4):
+        rng = np.random.default_rng(seed)
+
+        def candidate():
+            u = unitary_of(Circuit(1, (rx(float(rng.uniform(0, 3)), 0),)))
+            return (float(rng.uniform(0, 0.05)), int(rng.integers(2)),
+                    float(rng.uniform()), u)
+        approx = synthetic_set([[candidate() for _ in range(a)] for a in counts])
+        return approx, build_partition_graph(approx.blocks)
+
+    @staticmethod
+    def _record(monkeypatch):
+        """Run the real population_anneal, recording its bounds, its config,
+        every solution f is called with, and its output."""
+        seen = dict(bounds=[], cfgs=[], calls=[], out=[])
+
+        def recording(f, bounds, cfg, c):
+            def counted(sol, others):
+                seen["calls"].append(sol)
+                return f(sol, others)
+            seen["bounds"].append(tuple(bounds))
+            seen["cfgs"].append(cfg)
+            seen["out"].append(population_anneal(counted, bounds, cfg, c))
+            return seen["out"][-1]
+        monkeypatch.setattr(recombine_module, "population_anneal", recording)
+        return seen
+
+    def test_the_annealer_sees_only_the_blocks_with_a_choice(self, monkeypatch):
+        approx, graph = self._mixed_set(self.COUNTS)
+        ann_cfg = AnnealerConfig(max_iterations=20, seed=2)
+        for mode in (Mode.BASIC, Mode.BASIC_ERR):
+            cfg = ObjectiveConfig(epsilon=1.0, mode=mode)
+            runs = []
+            for limit in (recombine_module.EXACT_SPACE_LIMIT, 0):
+                with monkeypatch.context() as m:
+                    m.setattr(recombine_module, "EXACT_SPACE_LIMIT", limit)
+                    seen = self._record(m)
+                    sols = recombine_population(approx, graph, cfg, ann_cfg, 4)
+                assert seen["bounds"] == [(3, 2)]
+                assert {len(s) for s in seen["calls"]} == {2}
+                # The annealer's bests, spread over all blocks.
+                assert sols == [(0, b1, 0, 0, b4, 0) for (b1, b4), _ in seen["out"][0]]
+                runs.append(sols)
+            assert runs[0] == runs[1], mode
+
+    def test_a_space_without_a_choice_is_not_annealed(self, monkeypatch):
+        approx, graph = self._mixed_set((1, 1, 1))
+
+        def fail(*args, **kwargs):
+            raise AssertionError("annealed or scored")
+
+        for name in ("population_anneal", "EnumeratedObjective", "make_objective", "objective"):
+            monkeypatch.setattr(recombine_module, name, fail)
+        for mode in (Mode.BASIC, Mode.BASIC_ERR):
+            cfg = ObjectiveConfig(mode=mode)
+            assert recombine_population(approx, graph, cfg, AnnealerConfig(), 5) == [(0, 0, 0)] * 5
+            for c in (0, -1):
+                with pytest.raises(ValueError, match="population size must be positive"):
+                    recombine_population(approx, graph, cfg, AnnealerConfig(), c)
+
+    def test_default_iterations_count_every_block(self, monkeypatch):
+        # 1000 timesteps per block, all six counted; each of the c members
+        # then visits 2L + 1 times per timestep for the L = 2 blocks with a
+        # choice, after one evaluation of its start.
+        approx, graph = self._mixed_set(self.COUNTS)
+        seen = self._record(monkeypatch)
+        c = 2
+        recombine_population(approx, graph, ObjectiveConfig(epsilon=1.0),
+                             AnnealerConfig(seed=1), c)
+        assert seen["cfgs"][0].max_iterations == 1000 * len(self.COUNTS)
+        assert len(seen["calls"]) == c + 1000 * len(self.COUNTS) * c * (2 * 2 + 1)

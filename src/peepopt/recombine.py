@@ -363,10 +363,10 @@ class EnumeratedObjective:
     to a running count of differentiation hits.  ``lookup`` reads the
     same arrays one solution at a time.
 
-    The grid's axes are the blocks with more than one candidate
-    (``free``), and ``strides`` are theirs.  A choice vector holds one
-    candidate index per such block; every other block has one candidate,
-    0, whose distance table is ``[[0.0]]`` and adds nothing.
+    The grid's axes, ``free``, are the blocks with more than one
+    candidate; a choice vector holds one index per such block, numbered
+    by their ``strides``.  Every other block's one candidate, 0, has the
+    distance table ``[[0.0]]`` and adds nothing.
     """
 
     def __init__(self, approx: ApproximationSet, graph: PartitionGraph | None,
@@ -415,11 +415,10 @@ class EnumeratedObjective:
         return sol
 
     def _close_column(self, choice: Solution) -> np.ndarray:
-        """Which solutions ``differentiation`` counts as close to the
-        choice vector: their distance to it is at most either basic error.
-        The distances are outer sums of the blocks' distance columns in
-        block order, so each is added from the left as ``differentiation``
-        adds it."""
+        """Which solutions ``differentiation`` counts as close to ``choice``:
+        their distance to it is at most either basic error.  The distances
+        are outer sums of the blocks' distance columns in block order, so
+        each is added from the left as ``differentiation`` adds it."""
         d = 0.0
         for table, c in zip(self.pair, choice):
             d = np.add.outer(d, table[:, c]).ravel()

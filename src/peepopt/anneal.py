@@ -23,26 +23,22 @@ import numpy as np
 Solution = tuple  # choice vector: candidate index per block
 
 
+# SciPy's ``dual_annealing`` schedule: initial temperature, visiting and
+# acceptance parameters, and the temperature ratio that triggers a reanneal.
+INITIAL_TEMPERATURE = 5230.0
+Q_V = 2.62
+Q_A = -5.0
+RESTART_TEMP_RATIO = 2e-5
+
+
 @dataclass(frozen=True)
 class AnnealerConfig:
     max_iterations: int | None = None  # defaults to 1000 * num_blocks
-    initial_temperature: float = 5230.0
-    q_v: float = 2.62
-    q_a: float = -5.0
-    restart_temp_ratio: float = 2e-5
     seed: int = 0
 
     def __post_init__(self):
-        if not 1.0 < self.q_v < 3.0:
-            raise ValueError(f"q_v must be in (1, 3), got {self.q_v}")
-        if not self.initial_temperature > 0:
-            raise ValueError(
-                f"initial_temperature must be positive, got {self.initial_temperature}")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
-        if not self.q_a < 1.0:
-            # The acceptance probability divides by 1 - q_a.
-            raise ValueError(f"q_a must be below 1, got {self.q_a}")
         # A SeedSequence (one per iterative run) passes; numpy rejects a
         # negative integer only when the first generator is drawn.
         if isinstance(self.seed, (int, np.integer)) and self.seed < 0:
@@ -51,62 +47,47 @@ class AnnealerConfig:
 
 _TAIL_LIMIT = 1e8
 
-
-class _Visitor:
-    """Tsallis visiting-distribution step generator (distorted Cauchy-Lorentz)."""
-
-    def __init__(self, q_v: float):
-        self.q_v = q_v
-        qv = q_v
-        self._factor2 = math.exp((4.0 - qv) * math.log(qv - 1.0))
-        self._factor3 = math.exp((2.0 - qv) * math.log(2.0) / (qv - 1.0))
-        factor5 = 1.0 / (qv - 1.0) - 0.5
-        d1 = 2.0 - factor5
-        self._factor6 = (
-            math.pi * (1.0 - factor5)
-            / math.sin(math.pi * (1.0 - factor5))
-            / math.exp(math.lgamma(d1))
-        )
-
-    def _sigma(self, temperature: float) -> float:
-        """Scale of the visiting distribution at ``temperature``."""
-        qv = self.q_v
-        factor1 = math.exp(math.log(temperature) / (qv - 1.0))
-        factor4 = (
-            math.sqrt(math.pi) * factor1 * self._factor2
-            / (self._factor3 * (3.0 - qv))
-        )
-        return math.exp(-(qv - 1.0) * math.log(self._factor6 / factor4) / (3.0 - qv))
-
-    def steps(self, normals: np.ndarray, tails: np.ndarray,
-              temperature: float) -> np.ndarray:
-        """One step per column pair, row by row: each row of ``normals``
-        holds the steps' numerators, then their denominators; each row of
-        ``tails`` holds the uniforms of the high tails, then of the low
-        tails.  A step beyond the tail limit is the limit times its
-        uniform."""
-        qv = self.q_v
-        n = normals.shape[1] // 2
-        visit = normals[:, :n] * self._sigma(temperature)
-        visit /= np.exp((qv - 1.0) * np.log(np.abs(normals[:, n:])) / (3.0 - qv))
-        np.copyto(visit, _TAIL_LIMIT * tails[:, :n], where=visit > _TAIL_LIMIT)
-        np.copyto(visit, -_TAIL_LIMIT * tails[:, n:], where=visit < -_TAIL_LIMIT)
-        return visit
+# Factors of the Tsallis visiting distribution (distorted Cauchy-Lorentz)
+# that depend only on Q_V.
+_FACTOR2 = math.exp((4.0 - Q_V) * math.log(Q_V - 1.0))
+_FACTOR3 = math.exp((2.0 - Q_V) * math.log(2.0) / (Q_V - 1.0))
+_FACTOR5 = 1.0 / (Q_V - 1.0) - 0.5
+_FACTOR6 = (math.pi * (1.0 - _FACTOR5) / math.sin(math.pi * (1.0 - _FACTOR5))
+            / math.exp(math.lgamma(2.0 - _FACTOR5)))
 
 
-def _temperature(t0: float, step: int, q_v: float) -> float:
+def _sigma(temperature: float) -> float:
+    """Scale of the visiting distribution at ``temperature``."""
+    factor1 = math.exp(math.log(temperature) / (Q_V - 1.0))
+    factor4 = math.sqrt(math.pi) * factor1 * _FACTOR2 / (_FACTOR3 * (3.0 - Q_V))
+    return math.exp(-(Q_V - 1.0) * math.log(_FACTOR6 / factor4) / (3.0 - Q_V))
+
+
+def _steps(normals: np.ndarray, tails: np.ndarray, temperature: float) -> np.ndarray:
+    """One visiting step per column pair, row by row: each row of
+    ``normals`` holds the steps' numerators, then their denominators; each
+    row of ``tails`` holds the uniforms of the high tails, then of the low
+    tails.  A step beyond the tail limit is the limit times its uniform."""
+    n = normals.shape[1] // 2
+    visit = normals[:, :n] * _sigma(temperature)
+    visit /= np.exp((Q_V - 1.0) * np.log(np.abs(normals[:, n:])) / (3.0 - Q_V))
+    np.copyto(visit, _TAIL_LIMIT * tails[:, :n], where=visit > _TAIL_LIMIT)
+    np.copyto(visit, -_TAIL_LIMIT * tails[:, n:], where=visit < -_TAIL_LIMIT)
+    return visit
+
+
+def _temperature(step: int) -> float:
     s = float(step) + 2.0
-    return t0 * (2.0 ** (q_v - 1.0) - 1.0) / (s ** (q_v - 1.0) - 1.0)
+    return INITIAL_TEMPERATURE * (2.0 ** (Q_V - 1.0) - 1.0) / (s ** (Q_V - 1.0) - 1.0)
 
 
-def _accept(e_new: float, e_cur: float, temperature_step: float, q_a: float,
-            uniform: float) -> bool:
+def _accept(e_new: float, e_cur: float, temperature_step: float, uniform: float) -> bool:
     if e_new <= e_cur:
         return True
-    pqa = 1.0 - (1.0 - q_a) * (e_new - e_cur) / temperature_step
+    pqa = 1.0 - (1.0 - Q_A) * (e_new - e_cur) / temperature_step
     if pqa <= 0.0:
         return False
-    return uniform <= math.exp(math.log(pqa) / (1.0 - q_a))
+    return uniform <= math.exp(math.log(pqa) / (1.0 - Q_A))
 
 
 def decode(x: Sequence[float], bounds: Sequence[int]) -> Solution:
@@ -167,8 +148,6 @@ def _anneal(
     top = [a - 1 for a in bounds]
     p = len(bounds)
     max_iterations = 1000 * p if cfg.max_iterations is None else cfg.max_iterations
-    visitor = _Visitor(cfg.q_v)
-    q_a = cfg.q_a
     n_steps = p * p + p
     normals = np.empty((len(starts), 2 * n_steps))
     uniforms = np.empty((len(starts), 2 * n_steps + 2 * p))
@@ -182,17 +161,17 @@ def _anneal(
 
     since_restart = 0
     for it in range(max_iterations):
-        temperature = _temperature(cfg.initial_temperature, since_restart, cfg.q_v)
-        if temperature < cfg.initial_temperature * cfg.restart_temp_ratio:
+        temperature = _temperature(since_restart)
+        if temperature < INITIAL_TEMPERATURE * RESTART_TEMP_RATIO:
             for m in members:
                 m.x, m.sol, m.e_cur = m.best_x, m.best_sol, m.best_e
             since_restart = 0
-            temperature = _temperature(cfg.initial_temperature, 0, cfg.q_v)
+            temperature = _temperature(0)
         t_step = temperature / float(it + 1)
         for m, row_n, row_u in zip(members, normals, uniforms):
             m.rng.standard_normal(out=row_n)
             m.rng.random(out=row_u)
-        steps = visitor.steps(normals, uniforms[:, : 2 * n_steps], temperature).tolist()
+        steps = _steps(normals, uniforms[:, : 2 * n_steps], temperature).tolist()
         accepts = uniforms[:, 2 * n_steps :].tolist()
         snapshot = [m.sol for m in members]
         for idx, m in enumerate(members):
@@ -219,7 +198,7 @@ def _anneal(
                 e_new = f(sol, others)
                 if e_new < m.best_e:
                     m.best_x, m.best_sol, m.best_e = x, sol, e_new
-                if _accept(e_new, m.e_cur, t_step, q_a, accept[j]):
+                if _accept(e_new, m.e_cur, t_step, accept[j]):
                     m.x, m.sol, m.e_cur = x, sol, e_new
         since_restart += 1
     return [(m.best_sol, m.best_e) for m in members]

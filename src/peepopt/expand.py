@@ -209,21 +209,22 @@ def ansatz(m: int, q: int) -> AnsatzTemplate:
     return AnsatzTemplate(q, pairs)
 
 
+# A fit's restart stops, and the fit with it, once its distance is below this.
+FIT_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class OptBudget:
     """Search effort knobs for optimize_params."""
 
     restarts: int = 8
     max_iters: int = 200
-    tol: float = 1e-8
 
     def __post_init__(self):
         if not isinstance(self.restarts, (int, np.integer)) or self.restarts < 1:
             raise ValueError(f"restarts must be an integer of at least 1, got {self.restarts}")
         if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 0:
             raise ValueError(f"max_iters must be a non-negative integer, got {self.max_iters}")
-        if not self.tol >= 0:
-            raise ValueError(f"tol must be non-negative, got {self.tol}")
 
 
 _CX_COLS = [0, 1, 3, 2]  # v @ CX == v[:, _CX_COLS]
@@ -471,9 +472,9 @@ def _descent(seed, num_params: int, budget: OptBudget):
     yields None and is sent the gradient at the last point it was sent a
     distance for; it returns (best params, best distance).  Restart r starts
     at a uniform draw from ``default_rng(seed + [r])``.  A restart ends below
-    ``tol``, at a zero gradient, after 30 failed halvings of the step, or
+    ``FIT_TOL``, at a zero gradient, after 30 failed halvings of the step, or
     after ``max_iters`` steps; the fit ends once its best distance is below
-    ``tol`` or its restarts are spent.
+    ``FIT_TOL`` or its restarts are spent.
     """
     base_seed = list(np.atleast_1d(seed).astype(np.int64))
     best_params, best_value = None, np.inf
@@ -482,7 +483,7 @@ def _descent(seed, num_params: int, budget: OptBudget):
         value = yield params
         step = 0.5
         for _ in range(budget.max_iters):
-            if value < budget.tol:
+            if value < FIT_TOL:
                 break
             grad = yield None
             gsq = float(grad @ grad)
@@ -501,7 +502,7 @@ def _descent(seed, num_params: int, budget: OptBudget):
             step = min(s * 2.0, 2.0)
         if value < best_value:
             best_value, best_params = value, params.copy()
-        if best_value < budget.tol:
+        if best_value < FIT_TOL:
             break
     return best_params, float(best_value)
 

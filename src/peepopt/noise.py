@@ -62,9 +62,6 @@ class NoiseModel:
                 base = max(base, self.overrides[q][idx])
         return base
 
-    def without_readout(self) -> "NoiseModel":
-        return NoiseModel(self.p1, self.p2, None, dict(self.overrides))
-
     @classmethod
     def zero(cls) -> "NoiseModel":
         return cls()
@@ -429,7 +426,7 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
 def block_fidelity_score(candidate_circuit: Circuit, original: Circuit | np.ndarray,
                          noise: NoiseModel) -> float:
     """Frobenius distance between the original block's ideal density matrix
-    and the candidate's density matrix under noise (readout disabled).
+    and the candidate's density matrix under noise (no readout flips).
 
     ``original`` is the block's circuit or, to score many candidates of one
     block without simulating it again, its noiseless density matrix.
@@ -438,5 +435,5 @@ def block_fidelity_score(candidate_circuit: Circuit, original: Circuit | np.ndar
         original = simulate_density(original, NoiseModel.zero())
     if original.shape != (1 << candidate_circuit.num_qubits,) * 2:
         raise DimensionError("candidate and block qubit counts differ")
-    noisy = simulate_density(candidate_circuit, noise.without_readout())
+    noisy = simulate_density(candidate_circuit, noise)
     return frobenius_distance(original, noisy)

@@ -59,9 +59,6 @@ class RunConfig:
     c: int = 8
     seed: int = 0
     max_iterations: int | None = None
-    q_v: float = 2.62
-    q_a: float = -5.0
-    initial_temperature: float = 5230.0
     shots_per_circuit: int = 1024
     d_keep: float = 0.3
     expand_restarts: int = 8
@@ -86,13 +83,7 @@ class RunConfig:
         self.annealer_config()
 
     def annealer_config(self) -> AnnealerConfig:
-        return AnnealerConfig(
-            max_iterations=self.max_iterations,
-            initial_temperature=self.initial_temperature,
-            q_v=self.q_v,
-            q_a=self.q_a,
-            seed=self.seed,
-        )
+        return AnnealerConfig(max_iterations=self.max_iterations, seed=self.seed)
 
     def objective_config(self) -> ObjectiveConfig:
         return ObjectiveConfig(epsilon=self.epsilon, w=self.w)
@@ -141,13 +132,8 @@ def ideal_distribution(circuit: Circuit) -> np.ndarray:
     return np.abs(psi[:, 0]) ** 2
 
 
-def noisy_distribution(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
-    """Exact output distribution under gate noise and readout flips."""
-    return simulate_distribution(circuit, noise)
-
-
 def noisy_counts(circuit: Circuit, noise: NoiseModel, shots: int, seed) -> dict[str, int]:
-    return sample_counts(noisy_distribution(circuit, noise), shots, seed)
+    return sample_counts(simulate_distribution(circuit, noise), shots, seed)
 
 
 def ensemble_distribution(
@@ -171,7 +157,7 @@ def ensemble_distribution(
     for i, sol in enumerate(solutions):
         key = tuple(sol)
         if key not in dists:
-            dists[key] = noisy_distribution(reassemble(sol, approx), noise)
+            dists[key] = simulate_distribution(reassemble(sol, approx), noise)
         counts = sample_counts(dists[key], shots, base_seed + [i])
         pooled += counts_to_distribution(counts, n) * shots
     return pooled / pooled.sum()

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import peepopt.expand as expand_module
 from peepopt.circuits import (
     Circuit,
     GateKind,
@@ -426,7 +427,7 @@ def _reference_optimize(template, target, budget, seed, exits):
         exits["steps"] += 1
         step = 0.5
         for _ in range(budget.max_iters):
-            if value < budget.tol:
+            if value < expand_module.FIT_TOL:
                 exits["tol"] += 1
                 break
             value, grad = value_and_grad(params)
@@ -453,7 +454,7 @@ def _reference_optimize(template, target, budget, seed, exits):
             exits["max_iters"] += 1
         if value < best_value:
             best_value, best_params = value, params.copy()
-        if best_value < budget.tol:
+        if best_value < expand_module.FIT_TOL:
             break
     return best_params, float(best_value)
 
@@ -490,25 +491,28 @@ class TestFitMatchesReference:
         _assert_same_fit(ansatz(1, 2), np.zeros((4, 4)), OptBudget(restarts=3), 0, exits)
         assert exits["gsq"] == 3
 
-    def test_failed_line_search_exit(self):
+    def test_failed_line_search_exit(self, monkeypatch):
         # With tol = 0 the descent runs until rounding in the distance, which
         # cannot fall below about 1e-16, stops the Armijo test from passing.
         exits = Counter()
-        budget = OptBudget(restarts=3, max_iters=500, tol=0.0)
+        monkeypatch.setattr(expand_module, "FIT_TOL", 0.0)
+        budget = OptBudget(restarts=3, max_iters=500)
         _assert_same_fit(ansatz(0, 1), _exact_target(), budget, 4, exits)
         assert exits["line_search"] == 3
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_batch_fits_equal_the_reference(self, q, monkeypatch):
-        # One batch of m = 9..0 against four targets each.  Under the first
-        # budget fits leave at max_iters, below tol and at zero gradients;
-        # with tol = 0 the near targets converge until the line search fails.
+        # One batch of m = 9..0 against four targets each.  At FIT_TOL fits
+        # leave at max_iters, below tol and at zero gradients; with tol = 0
+        # the near targets converge until the line search fails.
         batch_sizes = []
         sweep = _TraceObjective.sweep
         monkeypatch.setattr(_TraceObjective, "sweep",
                             lambda obj, points: batch_sizes.append(len(points)) or sweep(obj, points))
         exits = Counter()
-        for budget in (OptBudget(restarts=3, max_iters=6), OptBudget(restarts=3, max_iters=6, tol=0.0)):
+        budget = OptBudget(restarts=3, max_iters=6)
+        for tol in (expand_module.FIT_TOL, 0.0):
+            monkeypatch.setattr(expand_module, "FIT_TOL", tol)
             templates, targets, seeds = [], [], []
             for m in range(9, -1, -1):
                 t = ansatz(m, q)
@@ -592,7 +596,6 @@ class TestBatchPlan:
 class TestOptBudgetValidation:
     @pytest.mark.parametrize("kwargs", [
         {"restarts": 0}, {"max_iters": -5}, {"restarts": 2.5}, {"max_iters": 10.5},
-        {"tol": float("nan")}, {"tol": -1e-8},
     ])
     def test_rejects_values_that_break_fitting(self, kwargs):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 """Unit tests for the density-matrix simulator and noise model."""
+import dataclasses
 import functools
 import itertools
 import math
@@ -133,10 +134,6 @@ class TestNoiseModel:
                            overrides={2: (0.004, 0.05)})
         assert NoiseModel.from_dict(noise.to_dict()) == noise
 
-    def test_without_readout(self):
-        noise = NoiseModel(p1=0.1, readout=(0.2,))
-        assert noise.without_readout().readout is None
-
 
 class TestSimulateDensity:
     def test_empty_circuit(self):
@@ -263,7 +260,7 @@ class TestGrowingState:
             noise = self._noise(rng, n)
             self._assert_same_as_one_call(random_circuit(rng, n, size * n // 3 + 1), noise)
             self._assert_same_as_one_call(random_circuit(rng, n, size, cx_fraction=0.8),
-                                          noise.without_readout())
+                                          dataclasses.replace(noise, readout=None))
 
     @pytest.mark.parametrize("n", [2, 3, 5, 6])
     def test_idle_qubits(self, n):

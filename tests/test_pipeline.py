@@ -69,10 +69,8 @@ class TestRunConfig:
             RunConfig(circuits=[], configs=["bogus"])
 
     @pytest.mark.parametrize("bad", [
-        {"c": 0}, {"epsilon": 0.0}, {"w": 2.0}, {"q_v": 5.0}, {"max_iterations": -1},
-        {"initial_temperature": 0.0}, {"q_a": 1.0}, {"q_a": 2.5},
-        {"epsilon": math.nan}, {"initial_temperature": math.nan},
-        {"d_keep": math.nan}, {"d_keep": -0.1}, {"seed": -3},
+        {"c": 0}, {"epsilon": 0.0}, {"w": 2.0}, {"max_iterations": -1},
+        {"epsilon": math.nan}, {"d_keep": math.nan}, {"d_keep": -0.1}, {"seed": -3},
     ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
     def test_rejects_bad_stage_setting(self, bad):
         (key,) = bad
@@ -305,9 +303,9 @@ class TestCli:
         ({"c": 0}, "c must be at least 1"),
         ({"k": "2"}, "RunConfig key 'k' must be int, got '2'"),
         ({"noise": 5}, "RunConfig key 'noise' must be NoiseModel, got 5"),
-        ({"q_a": 1.0}, "q_a must be below 1, got 1.0"),
+        ({"q_a": 1.0}, "unknown RunConfig keys: q_a"),
         ({"epsilon": math.nan}, "epsilon must be positive, got nan"),
-        ({"initial_temperature": math.nan}, "initial_temperature must be positive, got nan"),
+        ({"initial_temperature": math.nan}, "unknown RunConfig keys: initial_temperature"),
         ({"d_keep": math.nan}, "d_keep must be non-negative, got nan"),
         ({"seed": -3}, "seed must be non-negative, got -3"),
     ])

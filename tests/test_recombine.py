@@ -2,6 +2,7 @@
 exact selection."""
 import functools
 import importlib
+import inspect
 import itertools
 import math
 import operator
@@ -10,13 +11,14 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+import peepopt.anneal as anneal_module
 from peepopt.circuits import Circuit, cx, rx, rz, unitary_of
 from peepopt.expand import ApproximationSet, Candidate, expand_all, OptBudget
 from peepopt.partition import PartitionGraph, build_partition_graph, scan_partition
 from peepopt.anneal import (
     AnnealerConfig,
     _member_rng,
-    _Visitor,
+    _sigma,
     decode,
     dual_anneal,
     population_anneal,
@@ -370,13 +372,6 @@ class TestObjective:
             ObjectiveConfig(epsilon=0.0)
         with pytest.raises(ValueError):
             ObjectiveConfig(w=1.5)
-        with pytest.raises(ValueError):
-            AnnealerConfig(q_v=3.5)
-
-    @pytest.mark.parametrize("q_a", [1.0, 1.5, math.nan])
-    def test_annealer_rejects_q_a_from_one(self, q_a):
-        with pytest.raises(ValueError, match="q_a must be below 1"):
-            AnnealerConfig(q_a=q_a)
 
     @pytest.mark.parametrize("seed", [-1, np.int64(-7)])
     def test_annealer_rejects_negative_seed(self, seed):
@@ -549,11 +544,11 @@ class TestEngines:
 _REF_TAIL_LIMIT = 1e8
 
 
-def _ref_steps(visitor, normals, tails, lo, hi, temperature):
+def _ref_steps(normals, tails, lo, hi, temperature):
     """Steps lo .. hi - 1 of a member's timestep."""
-    qv = visitor.q_v
+    qv = anneal_module.Q_V
     n = len(normals) // 2
-    x = normals[lo:hi] * visitor._sigma(temperature)
+    x = normals[lo:hi] * _sigma(temperature)
     y = normals[n + lo : n + hi]
     visit = x / np.exp((qv - 1.0) * np.log(np.abs(y)) / (3.0 - qv))
     visit = np.where(visit > _REF_TAIL_LIMIT, _REF_TAIL_LIMIT * tails[lo:hi], visit)
@@ -561,12 +556,14 @@ def _ref_steps(visitor, normals, tails, lo, hi, temperature):
                     visit)
 
 
-def _ref_temperature(t0, step, q_v):
+def _ref_temperature(step):
+    t0, q_v = anneal_module.INITIAL_TEMPERATURE, anneal_module.Q_V
     s = float(step) + 2.0
     return t0 * (2.0 ** (q_v - 1.0) - 1.0) / (s ** (q_v - 1.0) - 1.0)
 
 
-def _ref_accept(e_new, e_cur, temperature_step, q_a, uniform):
+def _ref_accept(e_new, e_cur, temperature_step, uniform):
+    q_a = anneal_module.Q_A
     if e_new <= e_cur:
         return True
     pqa = 1.0 - (1.0 - q_a) * (e_new - e_cur) / temperature_step
@@ -595,7 +592,6 @@ def _ref_anneal(f, bounds, cfg, starts):
     p = len(bounds)
     n_steps = p * (p + 1)
     max_iterations = cfg.max_iterations or 1000 * p
-    visitor = _Visitor(cfg.q_v)
     members = []
     snapshot = [_ref_decode(x0, bounds) for x0, _ in starts]
     for idx, (x0, rng) in enumerate(starts):
@@ -603,13 +599,13 @@ def _ref_anneal(f, bounds, cfg, starts):
         members.append(_RefMember(x0.copy(), rng, e0, x0.copy(), e0))
     since_restart = 0
     for it in range(max_iterations):
-        temperature = _ref_temperature(cfg.initial_temperature, since_restart, cfg.q_v)
-        if temperature < cfg.initial_temperature * cfg.restart_temp_ratio:
+        temperature = _ref_temperature(since_restart)
+        if temperature < anneal_module.INITIAL_TEMPERATURE * anneal_module.RESTART_TEMP_RATIO:
             for m in members:
                 m.x = m.best_x.copy()
                 m.e_cur = m.best_e
             since_restart = 0
-            temperature = _ref_temperature(cfg.initial_temperature, 0, cfg.q_v)
+            temperature = _ref_temperature(0)
         t_step = temperature / float(it + 1)
         snapshot = [_ref_decode(m.x, bounds) for m in members]
         for idx, m in enumerate(members):
@@ -625,30 +621,39 @@ def _ref_anneal(f, bounds, cfg, starts):
                 x_visit = m.x.copy()
                 if j < p:  # every coordinate, by steps j*p .. j*p + p - 1
                     moved = np.arange(p)
-                    x_visit += _ref_steps(visitor, normals, tails, j * p, j * p + p,
-                                          temperature)
+                    x_visit += _ref_steps(normals, tails, j * p, j * p + p, temperature)
                 else:  # coordinate j - p, by step p*p + j - p
                     moved = np.array([j - p])
-                    x_visit[moved] += _ref_steps(visitor, normals, tails, p * p + j - p,
+                    x_visit[moved] += _ref_steps(normals, tails, p * p + j - p,
                                                  p * p + j - p + 1, temperature)
                 x_visit[moved] = np.mod(x_visit[moved] - lower[moved], span[moved]) + lower[moved]
                 e_new = f(_ref_decode(x_visit, bounds), others)
                 if e_new < m.best_e:
                     m.best_x, m.best_e = x_visit.copy(), e_new
-                if _ref_accept(e_new, m.e_cur, t_step, cfg.q_a, uniforms[2 * n_steps + j]):
+                if _ref_accept(e_new, m.e_cur, t_step, uniforms[2 * n_steps + j]):
                     m.x, m.e_cur = x_visit, e_new
         since_restart += 1
     return [(_ref_decode(m.best_x, bounds), m.best_e) for m in members]
+
+
+def test_schedule_is_scipy_dual_annealing_defaults():
+    optimize = pytest.importorskip("scipy.optimize")
+    defaults = inspect.signature(optimize.dual_annealing).parameters
+    assert [defaults[name].default
+            for name in ("initial_temp", "visit", "accept", "restart_temp_ratio")] == [
+        anneal_module.INITIAL_TEMPERATURE, anneal_module.Q_V, anneal_module.Q_A,
+        anneal_module.RESTART_TEMP_RATIO]
 
 
 class TestAnnealerMatchesReference:
     """Same results and the same objective calls, in the same order, as the
     reference loop above."""
 
+    # (max_iterations, schedule constants patched for the case)
     CONFIGS = (
-        dict(max_iterations=30),
-        dict(max_iterations=12, initial_temperature=5e7),  # tail draws
-        dict(max_iterations=30, restart_temp_ratio=0.5),   # reanneals often
+        (30, {}),
+        (12, {"INITIAL_TEMPERATURE": 5e7}),  # tail draws
+        (30, {"RESTART_TEMP_RATIO": 0.5}),   # reanneals often
     )
 
     @staticmethod
@@ -668,30 +673,38 @@ class TestAnnealerMatchesReference:
         return bounds, make_f
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_dual_anneal(self, seed):
+    def test_dual_anneal(self, seed, monkeypatch):
         bounds, make_f = self._problem(seed)
         for kw in self.CONFIGS:
-            cfg = AnnealerConfig(seed=seed, **kw)
-            got_calls, want_calls = [], []
-            got = dual_anneal(lambda s: make_f(got_calls)(s, []), bounds, cfg)
-            rng = np.random.default_rng(cfg.seed)
-            x0 = rng.uniform(np.zeros(len(bounds)), np.array(bounds, dtype=float))
-            want = _ref_anneal(make_f(want_calls), bounds, cfg, [(x0, rng)])[0]
+            max_iterations, constants = kw
+            with monkeypatch.context() as patch:
+                for name, value in constants.items():
+                    patch.setattr(anneal_module, name, value)
+                cfg = AnnealerConfig(max_iterations=max_iterations, seed=seed)
+                got_calls, want_calls = [], []
+                got = dual_anneal(lambda s: make_f(got_calls)(s, []), bounds, cfg)
+                rng = np.random.default_rng(cfg.seed)
+                x0 = rng.uniform(np.zeros(len(bounds)), np.array(bounds, dtype=float))
+                want = _ref_anneal(make_f(want_calls), bounds, cfg, [(x0, rng)])[0]
             assert got == want, kw
             assert got_calls == want_calls, kw
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_population_anneal(self, seed):
+    def test_population_anneal(self, seed, monkeypatch):
         bounds, make_f = self._problem(100 + seed)
         for kw in self.CONFIGS:
-            cfg = AnnealerConfig(seed=seed, **kw)
-            got_calls, want_calls = [], []
-            got = population_anneal(make_f(got_calls), bounds, cfg, 3)
-            setup = np.random.default_rng(cfg.seed)
-            initial = [setup.uniform(np.zeros(len(bounds)), np.array(bounds, dtype=float))
-                       for _ in range(3)]
-            starts = [(x0, _member_rng(cfg.seed, x0)) for x0 in initial]
-            want = _ref_anneal(make_f(want_calls), bounds, cfg, starts)
+            max_iterations, constants = kw
+            with monkeypatch.context() as patch:
+                for name, value in constants.items():
+                    patch.setattr(anneal_module, name, value)
+                cfg = AnnealerConfig(max_iterations=max_iterations, seed=seed)
+                got_calls, want_calls = [], []
+                got = population_anneal(make_f(got_calls), bounds, cfg, 3)
+                setup = np.random.default_rng(cfg.seed)
+                initial = [setup.uniform(np.zeros(len(bounds)), np.array(bounds, dtype=float))
+                           for _ in range(3)]
+                starts = [(x0, _member_rng(cfg.seed, x0)) for x0 in initial]
+                want = _ref_anneal(make_f(want_calls), bounds, cfg, starts)
             assert got == want, kw
             assert got_calls == want_calls, kw
 
@@ -874,6 +887,42 @@ class TestExactSelection:
                 assert sols and len(set(sols)) == len(sols), name
             if name in ("quest", "basic"):
                 assert max(circuit_error_basic(s, approx) for s in sols) <= cfg.epsilon
+
+    def test_a_fitted_circuit_above_the_limit(self, monkeypatch):
+        # Three Trotter steps of an 8-qubit transverse-field Ising model:
+        # at k = 3, 20 fitted blocks and about 5e5 solutions, so cascade
+        # tables and one-candidate blocks reach the annealer unpatched.
+        from peepopt.expand import score_candidates
+        from peepopt.noise import NoiseModel
+        n = 8
+        gates = []
+        for _ in range(3):
+            gates += [rx(0.3, q) for q in range(n)]
+            for q in range(n - 1):
+                gates += [cx(q, q + 1), rz(0.3, q + 1), cx(q, q + 1)]
+        blocks = scan_partition(Circuit(n, tuple(gates)), 3)
+        approx = expand_all(blocks, n, 0.3, 7, OptBudget(1, 30))
+        score_candidates(approx, NoiseModel(p1=0.001, p2=0.01))
+        graph = build_partition_graph(blocks)
+        assert len(blocks) == 20 and 1 in approx.counts()
+        assert math.prod(approx.counts()) > recombine_module.EXACT_SPACE_LIMIT
+
+        def not_enumerated(*args):
+            raise AssertionError("EnumeratedObjective built")
+
+        monkeypatch.setattr(recombine_module, "EnumeratedObjective", not_enumerated)
+        cfg = ObjectiveConfig(epsilon=0.1)
+        ann_cfg = AnnealerConfig(max_iterations=20, seed=3)
+        for name, (engine, _) in CONFIGURATIONS.items():
+            sols = recombine(name, approx, graph, cfg, ann_cfg, 3)
+            assert sols == recombine(name, approx, graph, cfg, ann_cfg, 3), name
+            if engine == "population":
+                assert len(sols) == 3, name
+            else:
+                # At 20 iterations an engine may find nothing within epsilon.
+                assert len(set(sols)) == len(sols) <= 3, name
+            if name in ("quest", "basic"):
+                assert all(circuit_error_basic(s, approx) <= cfg.epsilon for s in sols)
 
     @pytest.mark.parametrize("name", sorted(REAL_SETS))
     def test_quest_and_basic_coincide(self, name):

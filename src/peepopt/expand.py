@@ -617,6 +617,6 @@ def score_candidates(approx: ApproximationSet, noise) -> None:
         unscored = [cand for cand in cands if cand.fidelity_score is None]
         if not unscored:
             continue
-        ideal = simulate_density(block.local_circuit, NoiseModel.zero())
+        ideal = simulate_density(block.local_circuit, NoiseModel())
         for cand in unscored:
             cand.fidelity_score = block_fidelity_score(cand.local_circuit, ideal, noise)

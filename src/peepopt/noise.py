@@ -7,10 +7,10 @@ each gate with its depolarizing channel into one superoperator
 (``_gate_channel``), composes the channels of each run of gates on at most
 two qubits into one channel, and applies the runs to vec(rho) with
 ``circuits.gate_product``, so a run, not a gate, costs one pass over rho.
-vec(rho) grows qubit by qubit: a qubit enters as |0><0| at its first run.
-When only the output distribution is wanted (``simulate_distribution``),
-each qubit also leaves after its last run, keeping only its diagonal as a
-measured index, so rho is never held whole.
+``simulate_density`` applies them all to the whole 4^n vec(rho) in one call.
+``simulate_distribution`` holds vec(rho) only on the qubits in play: a qubit
+enters as |0><0| at its first run and leaves after its last, keeping only its
+diagonal as a measured index, so rho is never held whole.
 """
 from __future__ import annotations
 
@@ -61,10 +61,6 @@ class NoiseModel:
             if q in self.overrides:
                 base = max(base, self.overrides[q][idx])
         return base
-
-    @classmethod
-    def zero(cls) -> "NoiseModel":
-        return cls()
 
     @classmethod
     def from_dict(cls, data: dict) -> "NoiseModel":
@@ -229,17 +225,19 @@ _CUT_MIN = 4096
 DENSITY_QUBIT_LIMIT = 12  # widest circuit whose 4^n density state the simulator holds
 
 
-def _evolve(circuit: Circuit, noise: NoiseModel,
-            measure: bool) -> tuple[np.ndarray, list[int], list[int]]:
-    """Apply the circuit's runs to vec(rho) held only on the qubits in play.
+def _evolve(circuit: Circuit, noise: NoiseModel) -> tuple[np.ndarray, list[int]]:
+    """The diagonal of the circuit's noisy rho from a vec(rho) held only on
+    the qubits in play, as 2^n entries whose index bits hold ``measured``,
+    high first.
 
     vec(rho) is a ``2^a x 2^m`` matrix whose row bits hold one pair per
     qubit, column qubit q at an even bit and row qubit n + q above it;
     ``axes`` lists the vec(rho) qubit at each row bit, low first.  A pair
-    enters as |0><0| at its qubit's first run, as the highest row bits; an
-    idle qubit's at the end.  With ``measure``, a qubit leaves after its last
-    run: its diagonal becomes a column bit (``measured``, high first).  The
-    runs between two such cuts go to ``circuits.gate_product`` in one call.
+    enters as |0><0| at its qubit's first run, as the highest row bits, and
+    leaves after its last run: its diagonal becomes a column bit
+    (``_measure``).  The runs between two such cuts go to
+    ``circuits.gate_product`` in one call.  At the end the pairs still held,
+    an idle qubit's included, are measured the same way.
 
     vec(rho) is cut only while it holds at least ``_CUT_MIN`` entries, since
     below that a ``gate_product`` call costs more than it saves.  This also
@@ -252,7 +250,7 @@ def _evolve(circuit: Circuit, noise: NoiseModel,
     n = circuit.num_qubits
     check_width(n)
     runs = _runs(circuit.gates)
-    last = {q: i for i, (qubits, _) in enumerate(runs) for q in qubits} if measure else {}
+    last = {q: i for i, (qubits, _) in enumerate(runs) for q in qubits}
     t = np.ones((1, 1), dtype=complex)
     axes, mats, on, measured = [], [], [], []
     for i, (qubits, gates) in enumerate(runs):
@@ -265,7 +263,7 @@ def _evolve(circuit: Circuit, noise: NoiseModel,
         m, vq = _run_channel(qubits, gates, noise, n)
         mats.append(m)
         on.append(list(map(axes.index, vq)))
-        if measure and t.shape[1] << len(axes) >= _CUT_MIN:
+        if t.shape[1] << len(axes) >= _CUT_MIN:
             leaving = [q for q in axes[::2] if last[q] <= i]
             if leaving:
                 t, mats, on = _apply(t, mats, on, len(axes)), [], []
@@ -276,7 +274,9 @@ def _evolve(circuit: Circuit, noise: NoiseModel,
     for q in range(n):
         if q not in axes and q not in measured:
             axes += q, n + q
-    return _pad(t, len(axes)), axes, measured
+    held = axes[::2]
+    t, _ = _measure(_pad(t, len(axes)), axes, held, n)
+    return t.reshape(-1), measured + held
 
 
 def _pad(t: np.ndarray, a: int) -> np.ndarray:
@@ -314,18 +314,19 @@ def simulate_density(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
     Each gate acts as rho -> U rho U^dag followed by a depolarizing channel
     on the gate's qubits (``_gate_channel``).  The gates are grouped into
     runs on at most two qubits (``_runs``), each run's channels are composed
-    once into one channel of at most 16x16 (``_run_channel``), and
-    ``circuits.gate_product`` applies the runs in turn to row-major vec(rho),
-    held as a state of row and column qubits (``_evolve``).  Each run, not
-    each gate, costs one pass over vec(rho), and vec(rho) holds a qubit only
-    from its first run on.  Readout error is not applied here.
+    once into one channel of at most 16x16 (``_run_channel``), and one
+    ``circuits.gate_product`` call applies the runs in turn to row-major
+    vec(rho), held as a 2n-qubit state from |0...0>.  Each run, not each
+    gate, costs one pass over vec(rho).  Readout error is not applied here.
     """
     n = circuit.num_qubits
-    t, axes, _ = _evolve(circuit, noise, measure=False)
-    # Tensor axis j holds row bit 2n-1-j; logical order wants vec(rho) qubit
-    # 2n-1-j there, where row qubit q is n + q and column qubit q is q.
-    order = [2 * n - 1 - axes.index(2 * n - 1 - j) for j in range(2 * n)]
-    return t.reshape((2,) * (2 * n)).transpose(order).reshape(1 << n, 1 << n)
+    check_width(n)
+    mats, on = [], []
+    for qubits, gates in _runs(circuit.gates):
+        m, vq = _run_channel(qubits, gates, noise, n)
+        mats.append(m)
+        on.append(vq)
+    return _apply(np.ones((1, 1), dtype=complex), mats, on, 2 * n).reshape(1 << n, 1 << n)
 
 
 def simulate_distribution(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
@@ -335,14 +336,9 @@ def simulate_distribution(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
     entries after its last run (``_evolve``)."""
     n = circuit.num_qubits
     check_readout(noise.readout, n)
-    t, axes, measured = _evolve(circuit, noise, measure=True)
-    # Tensor axis j < k holds the pair of qubit axes[2(k-1-j)], whose
-    # diagonal is its entries 0 and 3; axis k + i holds measured[i].
-    k = len(axes) // 2
-    diag = t.reshape((4,) * k + (2,) * len(measured))[(slice(None, None, 3),) * k]
-    held = axes[-2::-2] + measured
-    order = [held.index(n - 1 - i) for i in range(n)]
-    probs = np.clip(np.real(diag), 0.0, None).transpose(order).reshape(-1)
+    diag, measured = _evolve(circuit, noise)
+    order = [measured.index(n - 1 - i) for i in range(n)]
+    probs = np.clip(np.real(diag), 0.0, None).reshape((2,) * n).transpose(order).reshape(-1)
     return _readout_flips(probs, noise.readout)
 
 
@@ -432,7 +428,7 @@ def block_fidelity_score(candidate_circuit: Circuit, original: Circuit | np.ndar
     block without simulating it again, its noiseless density matrix.
     """
     if isinstance(original, Circuit):
-        original = simulate_density(original, NoiseModel.zero())
+        original = simulate_density(original, NoiseModel())
     if original.shape != (1 << candidate_circuit.num_qubits,) * 2:
         raise DimensionError("candidate and block qubit counts differ")
     noisy = simulate_density(candidate_circuit, noise)

@@ -238,7 +238,7 @@ def test_criterion_04_simulator_oracle(report):
     for _ in range(50):
         n = int(rng.integers(2, 7))
         circuit = random_circuit(rng, n, int(rng.integers(6, 16)))
-        rho = simulate_density(circuit, NoiseModel.zero())
+        rho = simulate_density(circuit, NoiseModel())
         psi = _statevector_oracle(circuit)
         worst = max(worst, float(np.abs(np.real(np.diag(rho))
                                         - np.abs(psi) ** 2).max()))

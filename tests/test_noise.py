@@ -137,7 +137,7 @@ class TestNoiseModel:
 
 class TestSimulateDensity:
     def test_empty_circuit(self):
-        rho = simulate_density(Circuit(2), NoiseModel.zero())
+        rho = simulate_density(Circuit(2), NoiseModel())
         expected = np.zeros((4, 4))
         expected[0, 0] = 1
         assert np.allclose(rho, expected)
@@ -151,7 +151,7 @@ class TestSimulateDensity:
     def test_noiseless_matches_statevector(self):
         rng = np.random.default_rng(21)
         circ = random_circuit(rng, 3, 15)
-        rho = simulate_density(circ, NoiseModel.zero())
+        rho = simulate_density(circ, NoiseModel())
         psi = unitary_of(circ)[:, 0]
         assert np.allclose(rho, np.outer(psi, psi.conj()), atol=1e-10)
 
@@ -233,7 +233,7 @@ class TestSimulateDensity:
 
     def test_dimension_limit(self):
         with pytest.raises(DimensionError):
-            simulate_density(Circuit(13), NoiseModel.zero())
+            simulate_density(Circuit(13), NoiseModel())
 
 
 class TestGrowingState:
@@ -319,7 +319,7 @@ class TestGrowingState:
 
     def test_dimension_limit(self):
         with pytest.raises(DimensionError):
-            simulate_distribution(Circuit(13), NoiseModel.zero())
+            simulate_distribution(Circuit(13), NoiseModel())
 
 
 class TestMeasureDistribution:
@@ -390,12 +390,12 @@ class TestScores:
 
     def test_score_zero_for_identical_noiseless(self):
         circ = Circuit(1, (rx(0.4, 0),))
-        assert block_fidelity_score(circ, circ, NoiseModel.zero()) == pytest.approx(0.0)
+        assert block_fidelity_score(circ, circ, NoiseModel()) == pytest.approx(0.0)
 
     def test_score_orthogonal_states(self):
         x_circ = Circuit(1, (u3(PI, 0.0, PI, 0),))
         ident = Circuit(1)
-        score = block_fidelity_score(ident, x_circ, NoiseModel.zero())
+        score = block_fidelity_score(ident, x_circ, NoiseModel())
         assert score == pytest.approx(math.sqrt(2.0), abs=1e-10)
 
     def test_noise_displaces_exact_candidate(self):
@@ -406,7 +406,7 @@ class TestScores:
         rng = np.random.default_rng(23)
         block, cand = random_circuit(rng, 2, 8), random_circuit(rng, 2, 5)
         noise = NoiseModel(p1=0.01, p2=0.05)
-        ideal = simulate_density(block, NoiseModel.zero())
+        ideal = simulate_density(block, NoiseModel())
         assert block_fidelity_score(cand, ideal, noise) == block_fidelity_score(cand, block, noise)
         with pytest.raises(DimensionError):
             block_fidelity_score(Circuit(1), ideal, noise)

@@ -146,7 +146,7 @@ class TestEvaluate:
         rng = np.random.default_rng(70 + n)
         for _ in range(3):
             circuit = random_circuit(rng, n, 20)
-            expected = measure_distribution(simulate_density(circuit, NoiseModel.zero()))
+            expected = measure_distribution(simulate_density(circuit, NoiseModel()))
             np.testing.assert_allclose(ideal_distribution(circuit), expected,
                                        rtol=0, atol=1e-12)
 

@@ -112,21 +112,11 @@ def build_partition_graph(blocks: list[PartitionBlock]) -> PartitionGraph:
     return PartitionGraph(num_blocks=len(blocks), edges=edges)
 
 
-def _is_edge(blocks: list[PartitionBlock], i: int, j: int) -> bool:
-    if not (0 <= i < len(blocks) and 0 <= j < len(blocks)) or i >= j:
-        return False
-    between = blocks[i + 1 : j]
-    for q in blocks[i].qubits:
-        if q in blocks[j].qubits and not any(q in b.qubits for b in between):
-            return True
-    return False
-
-
 def pair_embedding(
     blocks: list[PartitionBlock], i: int, j: int
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Union qubits of an adjacent pair plus each block's positions within it."""
-    if not _is_edge(blocks, i, j):
+    if (i, j) not in build_partition_graph(blocks).edges:
         raise NonAdjacentBlocksError(f"blocks {i} and {j} are not adjacent")
     union = tuple(sorted(set(blocks[i].qubits) | set(blocks[j].qubits)))
     local_index = {q: x for x, q in enumerate(union)}

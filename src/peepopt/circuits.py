@@ -17,6 +17,7 @@ it, and it stays as the single-gate reference the tests hold both to.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -73,6 +74,8 @@ class Gate:
                 f"{self.kind.value} takes {_NUM_PARAMS[self.kind]} parameters, "
                 f"got {len(self.params)}"
             )
+        if not all(map(math.isfinite, self.params)):
+            raise ValueError(f"{self.kind.value} angle not finite: {self.params}")
         if len(self.qubits) != _ARITY[self.kind]:
             raise ValueError(
                 f"{self.kind.value} acts on {_ARITY[self.kind]} qubits, "

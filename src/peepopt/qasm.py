@@ -131,7 +131,10 @@ class _ExprParser:
 
 
 def _parse_angle(text: str, line: int) -> float:
-    return _ExprParser(text, line).parse()
+    try:
+        return _ExprParser(text, line).parse()
+    except RecursionError:
+        raise QasmParseError("angle expression nested too deeply", line) from None
 
 
 _NAME_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*")

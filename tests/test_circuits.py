@@ -1,4 +1,6 @@
 """Unit tests for the circuit representation and unitary semantics."""
+import math
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,15 @@ class TestGateValidation:
     def test_negative_qubit(self):
         with pytest.raises(ValueError, match="negative"):
             rx(0.1, -1)
+
+    @pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angle(self, angle):
+        with pytest.raises(ValueError, match=r"rx angle not finite: \(.*\)"):
+            rx(angle, 0)
+        with pytest.raises(ValueError, match="u3 angle not finite"):
+            u3(0.1, angle, 0.2, 0)
+        with pytest.raises(ValueError, match="rz angle not finite"):
+            Gate(GateKind.RZ, (str(angle),), (0,))
 
     def test_circuit_rejects_out_of_range_gate(self):
         with pytest.raises(ValueError, match="exceeds"):

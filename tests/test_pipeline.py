@@ -358,6 +358,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"error: [recombine] {config}: need at least one block" in err
 
+    def test_non_finite_angle_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "inf.qasm"
+        path.write_text('OPENQASM 2.0;\nqreg q[2];\nrx(1e999) q[0];\n'
+                        'cx q[0],q[1];\ncx q[1],q[0];\ncx q[0],q[1];\n')
+        assert main(["run", "--circuit", str(path), "--k", "2", "--configs", "basic",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: [parse] {path}: line 3: rx angle not finite: (inf,)"]
+        assert main(["partition", "--circuit", str(path), "--k", "2"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: line 3: rx angle not finite: (inf,)"]
+
     def test_readout_width_mismatch_is_pipeline_error(self, tiny_qasm, tmp_path, capsys):
         noise = tmp_path / "noise.json"
         noise.write_text(json.dumps({"p1": 0.001, "p2": 0.01, "readout": [0.0, 0.0, 0.0, 0.3]}))
@@ -402,10 +413,13 @@ class TestCli:
          "cnots of a candidate of cached block 0 must be its CX count 1, got '1'"),
         (_edited(lambda d: d["candidates"][0][0].update(cnots=0)),
          "cnots of a candidate of cached block 0 must be its CX count 1, got 0"),
+        (_edited(lambda d: d["candidates"][0][0].update(
+            qasm='OPENQASM 2.0;\nqreg q[2];\nrx(1e999) q[0];\ncx q[0],q[1];\n')),
+         "line 3: rx angle not finite: (inf,)"),
     ], ids=["not-object", "no-num-qubits", "no-blocks", "no-candidates", "no-candidate-key",
             "empty-block", "list-short", "list-long", "wide-candidate", "num-qubits-string",
             "qubits-number", "gate-span-null", "id-string", "hs-null", "score-string",
-            "cnots-string", "cnots-wrong"])
+            "cnots-string", "cnots-wrong", "angle-infinite"])
     def test_recombine_rejects_a_malformed_cache(self, tmp_path, capsys, damage, message):
         cache = tmp_path / "cache.json"
         data = self._cache(cache)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from peepopt.circuits import Circuit, GateKind, cx, rz
+from peepopt.cli import main
 from peepopt.qasm import (
     QasmParseError,
     QasmRangeError,
@@ -101,6 +102,31 @@ class TestDiagnostics:
         for text in ("", "@@@;", "\x00\x01;", "qreg;", "rx() ;", "((((;"):
             with pytest.raises(QasmParseError):
                 parse_qasm(text)
+
+    @pytest.mark.parametrize("angle", ["(" * 1000 + "1" + ")" * 1000, "-" * 5000 + "1"],
+                             ids=["parentheses", "minus-signs"])
+    def test_deep_nesting_is_a_parse_error(self, angle, tmp_path, capsys):
+        text = HEADER + f"qreg q[1];\nrx({angle}) q[0];\n"
+        with pytest.raises(QasmParseError) as exc:
+            parse_qasm(text)
+        assert exc.value.line == 4
+        path = tmp_path / "deep.qasm"
+        path.write_text(text)
+        message = "line 4: angle expression nested too deeply"
+        assert main(["partition", "--circuit", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert main(["run", "--circuit", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: [parse] {path}: {message}"]
+
+    @pytest.mark.parametrize("angle, shown", [
+        ("1e999", "(inf,)"), ("-1e999", "(-inf,)"), ("1e308*10", "(inf,)"),
+        ("1e999-1e999", "(nan,)"),
+    ])
+    def test_non_finite_angle(self, angle, shown):
+        with pytest.raises(QasmParseError) as exc:
+            parse_qasm(HEADER + f"qreg q[1];\nrz({angle}) q[0];\n")
+        assert exc.value.line == 4
+        assert str(exc.value) == f"line 4: rz angle not finite: {shown}"
 
 
 class TestEmit:

@@ -274,9 +274,9 @@ def _evolve(circuit: Circuit, noise: NoiseModel) -> tuple[np.ndarray, list[int]]
     for q in range(n):
         if q not in axes and q not in measured:
             axes += q, n + q
-    held = axes[::2]
-    t, _ = _measure(_pad(t, len(axes)), axes, held, n)
-    return t.reshape(-1), measured + held
+    measured += axes[::2]
+    t, _ = _measure(_pad(t, len(axes)), axes, axes[::2], n)
+    return t.reshape(-1), measured
 
 
 def _pad(t: np.ndarray, a: int) -> np.ndarray:
@@ -321,11 +321,8 @@ def simulate_density(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
     """
     n = circuit.num_qubits
     check_width(n)
-    mats, on = [], []
-    for qubits, gates in _runs(circuit.gates):
-        m, vq = _run_channel(qubits, gates, noise, n)
-        mats.append(m)
-        on.append(vq)
+    runs = [_run_channel(qubits, gates, noise, n) for qubits, gates in _runs(circuit.gates)]
+    mats, on = [m for m, _ in runs], [vq for _, vq in runs]
     return _apply(np.ones((1, 1), dtype=complex), mats, on, 2 * n).reshape(1 << n, 1 << n)
 
 

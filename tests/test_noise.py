@@ -77,8 +77,8 @@ def _reference_simulate(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
 
 
 def _one_call_simulate(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
-    """The fused simulator before vec(rho) grew qubit by qubit: every run
-    applied to the whole 4^n vec(rho) in one ``gate_product`` call."""
+    """``simulate_density`` spelled out on its own: every run applied to the
+    whole 4^n vec(rho), from |0...0>, in one ``gate_product`` call."""
     n = circuit.num_qubits
     dim = 1 << n
     mats, axes = [], []
@@ -237,8 +237,10 @@ class TestSimulateDensity:
 
 
 class TestGrowingState:
-    """``simulate_density`` and ``simulate_distribution`` hold vec(rho) only
-    on the qubits in play, yet give the bytes of the one-call simulator."""
+    """``simulate_density`` is the one-call product, and
+    ``simulate_distribution`` holds vec(rho) only on the qubits in play,
+    measuring each qubit after its last run, yet gives the bytes of the
+    distribution of that product."""
 
     @staticmethod
     def _assert_same_as_one_call(circuit: Circuit, noise: NoiseModel) -> None:

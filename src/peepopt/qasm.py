@@ -4,10 +4,10 @@ Supported statements: ``OPENQASM 2.0``, ``include`` (ignored), ``qreg``,
 ``creg``, ``cx``, ``rx``, ``ry``, ``rz``, ``u3``, ``u`` (3-parameter alias),
 ``measure`` (checked, then dropped), ``barrier``
 (ignored).  Angle expressions accept decimal/scientific literals and ``pi``
-arithmetic with ``+ - * /``, unary minus, and parentheses.
+arithmetic with ``+ - * /``, unary minus, and parentheses; angles are finite.
 
-Anything else raises a diagnostic; the parser never crashes on arbitrary
-byte strings.
+Anything else, an expression nested past the recursion limit included,
+raises a diagnostic; the parser never crashes on arbitrary byte strings.
 """
 from __future__ import annotations
 

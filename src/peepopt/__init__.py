@@ -16,6 +16,7 @@ from .noise import (
     sample_counts,
     simulate_density,
     simulate_distribution,
+    simulate_distributions,
 )
 from .partition import (
     PartitionBlock,
@@ -34,6 +35,7 @@ from .recombine import (
     differentiation,
     objective,
     reassemble,
+    reassemble_all,
     recombine,
     recombine_iterative,
     recombine_population,

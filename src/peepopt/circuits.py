@@ -153,6 +153,22 @@ def u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
     )
 
 
+def u3_matrices(angles: np.ndarray) -> np.ndarray:
+    """``u3_matrix`` over a stack of (theta, phi, lambda) rows.
+
+    Shape ``(..., 3)`` to ``(..., 2, 2)``; element for element equal to
+    calling ``u3_matrix`` on each row.
+    """
+    theta, phi, lam = angles[..., 0], angles[..., 1], angles[..., 2]
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    out = np.empty(angles.shape[:-1] + (2, 2), dtype=complex)
+    out[..., 0, 0] = c
+    out[..., 0, 1] = -np.exp(1j * lam) * s
+    out[..., 1, 0] = np.exp(1j * phi) * s
+    out[..., 1, 1] = np.exp(1j * (phi + lam)) * c
+    return out
+
+
 def gate_matrix(gate: Gate) -> np.ndarray:
     """Unitary of a single gate in its local basis (2x2 or 4x4)."""
     if gate.kind is GateKind.CX:

@@ -3,7 +3,8 @@
 Verbs: ``run`` (full pipeline), ``partition`` (debug dump), ``expand``
 (cache an approximation set), ``recombine`` (from a cache), ``metrics``
 (distances between two counts files).  Exit codes: 0 success, 1 input
-error, 2 pipeline error.
+error (a bad argument, file or QASM, which ``run`` reports as an ``[input]``
+or ``[parse]`` stage error), 2 pipeline error.
 """
 from __future__ import annotations
 
@@ -27,8 +28,15 @@ from .recombine import (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors ``main`` reports as input errors."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="peepopt",
         description="Approximate peephole optimization of quantum circuits.",
     )
@@ -156,15 +164,15 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except (OSError, QasmError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if exc.stage in ("input", "parse") else 2
 
 
 if __name__ == "__main__":

@@ -32,7 +32,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuits import Circuit, Gate, GateKind, cnot_count, hs_distance, unitary_of, _apply_plan
+from .circuits import (Circuit, Gate, GateKind, cnot_count, hs_distance, u3_matrices, unitary_of,
+                       _apply_plan)
 from .noise import NoiseModel, _number, block_fidelity_score, simulate_density
 from .partition import PartitionBlock
 from .qasm import emit_qasm, parse_qasm
@@ -387,7 +388,7 @@ class _TraceObjective:
         """
         lay, ops, pre = self._lay, self.ops, self.pre
         # u(theta + pi) / 2 is the theta derivative of u, kept for grad.
-        u, self._u_pi = _u3_matrices(np.concatenate(points).reshape(-1, 3) + _THETA_SHIFT)
+        u, self._u_pi = u3_matrices(np.concatenate(points).reshape(-1, 3) + _THETA_SHIFT)
         self._u = u
         # A fit's layer l is (u_a (x) u_b) . CX with u_a, u_b its rows n + 2l and n + 2l + 1.
         v = (u[lay.a_rows, :, None, :, None] * u[lay.b_rows, None, :, None, :]).reshape(-1, 4, 4)
@@ -447,22 +448,6 @@ class _TraceObjective:
         w = env * u
         return np.stack([0.5 * (env * self._u_pi).sum((1, 2)),
                          1j * w[:, 1].sum(1), 1j * w[:, :, 1].sum(1)], axis=1)
-
-
-def _u3_matrices(angles: np.ndarray) -> np.ndarray:
-    """``u3_matrix`` over a stack of (theta, phi, lambda) rows.
-
-    Shape ``(..., 3)`` to ``(..., 2, 2)``; element for element equal to
-    calling ``u3_matrix`` on each row.
-    """
-    theta, phi, lam = angles[..., 0], angles[..., 1], angles[..., 2]
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    out = np.empty(angles.shape[:-1] + (2, 2), dtype=complex)
-    out[..., 0, 0] = c
-    out[..., 0, 1] = -np.exp(1j * lam) * s
-    out[..., 1, 0] = np.exp(1j * phi) * s
-    out[..., 1, 1] = np.exp(1j * (phi + lam)) * c
-    return out
 
 
 def _descent(seed, num_params: int, budget: OptBudget):
@@ -612,11 +597,13 @@ def expand_all(
 
 
 def score_candidates(approx: ApproximationSet, noise) -> None:
-    """Fill every candidate's noisy-fidelity score in place (idempotent)."""
+    """Fill every candidate's noisy-fidelity score in place (idempotent),
+    each block's under the noise of its own qubits."""
     for block, cands in zip(approx.blocks, approx.candidates):
         unscored = [cand for cand in cands if cand.fidelity_score is None]
         if not unscored:
             continue
         ideal = simulate_density(block.local_circuit, NoiseModel())
+        local = noise.on_block(block.qubits)
         for cand in unscored:
-            cand.fidelity_score = block_fidelity_score(cand.local_circuit, ideal, noise)
+            cand.fidelity_score = block_fidelity_score(cand.local_circuit, ideal, local)

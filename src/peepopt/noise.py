@@ -7,10 +7,14 @@ each gate with its depolarizing channel into one superoperator
 (``_gate_channel``), composes the channels of each run of gates on at most
 two qubits into one channel, and applies the runs to vec(rho) with
 ``circuits.gate_product``, so a run, not a gate, costs one pass over rho.
-``simulate_density`` applies them all to the whole 4^n vec(rho) in one call.
-``simulate_distribution`` holds vec(rho) only on the qubits in play: a qubit
-enters as |0><0| at its first run and leaves after its last, keeping only its
-diagonal as a measured index, so rho is never held whole.
+Channels are built per batch of circuits (``_batch_channels``): one stacked
+pass builds every one-qubit gate channel, CX's is built once per probability
+and orientation, and each distinct run, the same gate objects on the same
+qubits, is composed once and shared by every circuit that has it.
+``simulate_density`` applies a circuit's runs to the whole 4^n vec(rho) in
+one call.  ``simulate_distributions`` holds vec(rho) only on the qubits in
+play: a qubit enters as |0><0| at its first run and leaves after its last,
+keeping only its diagonal as a measured index, so rho is never held whole.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import Circuit, gate_matrix, gate_plan, gate_product
+from .circuits import Circuit, GateKind, gate_matrix, gate_plan, gate_product, u3_matrices
 
 
 class DimensionError(ValueError):
@@ -61,6 +65,12 @@ class NoiseModel:
             if q in self.overrides:
                 base = max(base, self.overrides[q][idx])
         return base
+
+    def on_block(self, qubits: tuple[int, ...]) -> "NoiseModel":
+        """The model a block whose local qubit i is qubit ``qubits[i]`` sees,
+        without readout, which block scoring does not apply."""
+        overrides = {i: self.overrides[q] for i, q in enumerate(qubits) if q in self.overrides}
+        return NoiseModel(self.p1, self.p2, overrides=overrides)
 
     @classmethod
     def from_dict(cls, data: dict) -> "NoiseModel":
@@ -185,50 +195,102 @@ def _fold(m: np.ndarray | None, pa: np.ndarray | None, pb: np.ndarray | None) ->
     return m
 
 
-def _run_channel(qubits: tuple[int, ...], gates: list, noise: NoiseModel,
-                 n: int) -> tuple[np.ndarray, list[int]]:
-    """A run's noisy channel and the vec(rho) qubits it acts on, high bit first.
+def _one_qubit_channels(gates: list, noise: NoiseModel) -> np.ndarray:
+    """``_gate_channel(gate_matrix(g), p)`` of each one-qubit gate, stacked:
+    the U3 matrices come from one ``u3_matrices`` call, and as in
+    ``_gate_channel`` nothing is added where p is 0."""
+    us = np.empty((len(gates), 2, 2), dtype=complex)
+    u3 = [i for i, g in enumerate(gates) if g.kind is GateKind.U3]
+    us[u3] = u3_matrices(np.array([gates[i].params for i in u3]).reshape(-1, 3))
+    for i, g in enumerate(gates):
+        if g.kind is not GateKind.U3:
+            us[i] = gate_matrix(g)
+    ps = np.array([noise.gate_prob(g.qubits) for g in gates], dtype=float)
+    chans = (1.0 - ps)[:, None, None] * (
+        us[:, :, None, :, None] * us.conj()[:, None, :, None, :]).reshape(-1, 4, 4)
+    noisy = np.flatnonzero(ps)
+    chans[noisy, ::3, ::3] += (ps[noisy] / 2)[:, None, None]
+    return chans
 
-    Each gate keeps its own ``_gate_channel`` with its own ``gate_prob``.  A
-    run of one gate uses that channel as it is.  A two-qubit run composes in
+
+def _batch_channels(circuits: list[Circuit], noise: NoiseModel) -> list[list[tuple]]:
+    """Each circuit's ``_runs`` as ``(qubits, channel, vec(rho) qubits it acts
+    on, high bit first)``, all built as one batch.
+
+    One stacked pass builds every one-qubit gate's channel.  A two-qubit
+    gate's is built once per (kind, probability, orientation): raw for a run
+    of that one gate, on (row a, row b, col a, col b), and reordered by
+    ``_PAIR_ORDER`` inside a longer run, on (row a, col a, row b, col b).
+    Each distinct run, the same gate objects on the same qubits, is composed
+    once (``_run_channel``) and shared by every circuit that has it.
+    """
+    runs = [_runs(circuit.gates) for circuit in circuits]
+    singles = list({id(g): g for rs in runs for _, gates in rs for g in gates
+                    if len(g.qubits) == 1}.values())
+    ones = dict(zip(map(id, singles), _one_qubit_channels(singles, noise)))
+    pairs, composed = {}, {}
+
+    def channel(g, same=None):
+        if len(g.qubits) == 1:
+            return ones[id(g)]
+        key = (g.kind, noise.gate_prob(g.qubits), same)
+        if key not in pairs:
+            s = _gate_channel(gate_matrix(g), key[1])
+            pairs[key] = s if same is None else s[_PAIR_ORDER[same][:, None], _PAIR_ORDER[same]]
+        return pairs[key]
+
+    def run(n, qubits, gates):
+        key = (qubits, *map(id, gates))
+        if key not in composed:
+            composed[key] = _run_channel(qubits, gates, channel)
+        if len(gates) == 1:
+            return qubits, composed[key], [n + q for q in qubits] + list(qubits)
+        return qubits, composed[key], [v for q in qubits for v in (n + q, q)]
+
+    return [[run(c.num_qubits, *r) for r in rs] for c, rs in zip(circuits, runs)]
+
+
+def _run_channel(qubits: tuple[int, ...], gates: list, channel) -> np.ndarray:
+    """A run's noisy channel, composed from ``channel(g, same)``, gate g's
+    ``_gate_channel`` (a two-qubit one reordered when ``same`` is a bool).
+
+    A run of one gate uses its raw channel.  A two-qubit run composes in
     (row a, col a, row b, col b) order: one-qubit channels are multiplied per
     qubit as 4x4s and folded into the 16x16 product before each two-qubit
     gate and at the end.
     """
-    chans = [_gate_channel(gate_matrix(g), noise.gate_prob(g.qubits)) for g in gates]
     if len(gates) == 1:
-        return chans[0], [n + q for q in qubits] + list(qubits)
+        return channel(gates[0])
     if len(qubits) == 1:
-        m = chans[0]
-        for s in chans[1:]:
-            m = s @ m
-        return m, [n + qubits[0], qubits[0]]
+        m = channel(gates[0])
+        for g in gates[1:]:
+            m = channel(g) @ m
+        return m
     a, b = qubits
     m = pa = pb = None
-    for g, s in zip(gates, chans):
+    for g in gates:
         if g.qubits == (a,):
-            pa = s if pa is None else s @ pa
+            pa = channel(g) if pa is None else channel(g) @ pa
         elif g.qubits == (b,):
-            pb = s if pb is None else s @ pb
+            pb = channel(g) if pb is None else channel(g) @ pb
         else:
             if pa is not None or pb is not None:
                 m, pa, pb = _fold(m, pa, pb), None, None
-            idx = _PAIR_ORDER[g.qubits[0] == a]
-            s = s[idx[:, None], idx]
+            s = channel(g, g.qubits[0] == a)
             m = s if m is None else s @ m
     if pa is not None or pb is not None:
         m = _fold(m, pa, pb)
-    return m, [n + a, a, n + b, b]
+    return m
 
 
 _CUT_MIN = 4096
 DENSITY_QUBIT_LIMIT = 12  # widest circuit whose 4^n density state the simulator holds
 
 
-def _evolve(circuit: Circuit, noise: NoiseModel) -> tuple[np.ndarray, list[int]]:
-    """The diagonal of the circuit's noisy rho from a vec(rho) held only on
-    the qubits in play, as 2^n entries whose index bits hold ``measured``,
-    high first.
+def _evolve(n: int, runs: list) -> tuple[np.ndarray, list[int]]:
+    """The diagonal of an n-qubit circuit's noisy rho from its runs'
+    ``_batch_channels``, from a vec(rho) held only on the qubits in play, as
+    2^n entries whose index bits hold ``measured``, high first.
 
     vec(rho) is a ``2^a x 2^m`` matrix whose row bits hold one pair per
     qubit, column qubit q at an even bit and row qubit n + q above it;
@@ -247,20 +309,16 @@ def _evolve(circuit: Circuit, noise: NoiseModel) -> tuple[np.ndarray, list[int]]
     on |0...0> alone.  BLAS rounds a product with fewer columns through
     other kernels.
     """
-    n = circuit.num_qubits
-    check_width(n)
-    runs = _runs(circuit.gates)
-    last = {q: i for i, (qubits, _) in enumerate(runs) for q in qubits}
+    last = {q: i for i, (qubits, _, _) in enumerate(runs) for q in qubits}
     t = np.ones((1, 1), dtype=complex)
     axes, mats, on, measured = [], [], [], []
-    for i, (qubits, gates) in enumerate(runs):
+    for i, (qubits, m, vq) in enumerate(runs):
         if qubits[0] not in axes or qubits[-1] not in axes:
             if mats and t.shape[1] << len(axes) >= _CUT_MIN:
                 t, mats, on = _apply(t, mats, on, len(axes)), [], []
             for q in qubits:
                 if q not in axes:
                     axes += q, n + q
-        m, vq = _run_channel(qubits, gates, noise, n)
         mats.append(m)
         on.append(list(map(axes.index, vq)))
         if t.shape[1] << len(axes) >= _CUT_MIN:
@@ -314,29 +372,41 @@ def simulate_density(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
     Each gate acts as rho -> U rho U^dag followed by a depolarizing channel
     on the gate's qubits (``_gate_channel``).  The gates are grouped into
     runs on at most two qubits (``_runs``), each run's channels are composed
-    once into one channel of at most 16x16 (``_run_channel``), and one
+    once into one channel of at most 16x16 (``_batch_channels``), and one
     ``circuits.gate_product`` call applies the runs in turn to row-major
     vec(rho), held as a 2n-qubit state from |0...0>.  Each run, not each
     gate, costs one pass over vec(rho).  Readout error is not applied here.
     """
     n = circuit.num_qubits
     check_width(n)
-    runs = [_run_channel(qubits, gates, noise, n) for qubits, gates in _runs(circuit.gates)]
-    mats, on = [m for m, _ in runs], [vq for _, vq in runs]
+    (runs,) = _batch_channels([circuit], noise)
+    mats, on = [m for _, m, _ in runs], [vq for _, _, vq in runs]
     return _apply(np.ones((1, 1), dtype=complex), mats, on, 2 * n).reshape(1 << n, 1 << n)
+
+
+def simulate_distributions(circuits: list[Circuit], noise: NoiseModel) -> list[np.ndarray]:
+    """``simulate_distribution`` of each circuit, simulated as one batch
+    (``_batch_channels``), so a run that several circuits share is composed
+    once.  Each circuit then evolves on its own (``_evolve``)."""
+    for circuit in circuits:
+        check_readout(noise.readout, circuit.num_qubits)
+        check_width(circuit.num_qubits)
+    dists = []
+    for circuit, runs in zip(circuits, _batch_channels(circuits, noise)):
+        n = circuit.num_qubits
+        diag, measured = _evolve(n, runs)
+        order = [measured.index(n - 1 - i) for i in range(n)]
+        probs = np.clip(np.real(diag), 0.0, None).reshape((2,) * n).transpose(order).reshape(-1)
+        dists.append(_readout_flips(probs, noise.readout))
+    return dists
 
 
 def simulate_distribution(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
     """Outcome probabilities of the circuit under the noise model, readout
     flips included: ``measure_distribution(simulate_density(circuit, noise),
     noise.readout)``, from a vec(rho) that drops each qubit's off-diagonal
-    entries after its last run (``_evolve``)."""
-    n = circuit.num_qubits
-    check_readout(noise.readout, n)
-    diag, measured = _evolve(circuit, noise)
-    order = [measured.index(n - 1 - i) for i in range(n)]
-    probs = np.clip(np.real(diag), 0.0, None).reshape((2,) * n).transpose(order).reshape(-1)
-    return _readout_flips(probs, noise.readout)
+    entries after its last run (``_evolve``).  A batch of one."""
+    return simulate_distributions([circuit], noise)[0]
 
 
 def check_width(n: int) -> None:
@@ -423,6 +493,8 @@ def block_fidelity_score(candidate_circuit: Circuit, original: Circuit | np.ndar
 
     ``original`` is the block's circuit or, to score many candidates of one
     block without simulating it again, its noiseless density matrix.
+    ``noise`` is read on the candidate's own qubit indices; a block of a
+    larger circuit is scored under ``NoiseModel.on_block`` of its qubits.
     """
     if isinstance(original, Circuit):
         original = simulate_density(original, NoiseModel())

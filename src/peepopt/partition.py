@@ -113,10 +113,14 @@ def build_partition_graph(blocks: list[PartitionBlock]) -> PartitionGraph:
 
 
 def pair_embedding(
-    blocks: list[PartitionBlock], i: int, j: int
+    blocks: list[PartitionBlock], i: int, j: int,
+    edges: dict[tuple[int, int], int] | None = None,
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Union qubits of an adjacent pair plus each block's positions within it."""
-    if (i, j) not in build_partition_graph(blocks).edges:
+    """Union qubits of an adjacent pair plus each block's positions within it;
+    ``edges``, the blocks' graph edges, are built here unless given."""
+    if edges is None:
+        edges = build_partition_graph(blocks).edges
+    if (i, j) not in edges:
         raise NonAdjacentBlocksError(f"blocks {i} and {j} are not adjacent")
     union = tuple(sorted(set(blocks[i].qubits) | set(blocks[j].qubits)))
     local_index = {q: x for x, q in enumerate(union)}

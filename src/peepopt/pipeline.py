@@ -26,6 +26,7 @@ from .noise import (
     counts_to_distribution,
     sample_counts,
     simulate_distribution,
+    simulate_distributions,
 )
 from .partition import build_partition_graph, scan_partition
 from .qasm import emit_qasm, parse_qasm
@@ -36,6 +37,7 @@ from .recombine import (
     ObjectiveConfig,
     Solution,
     reassemble,
+    reassemble_all,
     recombine,
 )
 
@@ -146,19 +148,19 @@ def ensemble_distribution(
     """Pooled empirical distribution of all result circuits, equal shots each.
 
     Result i is sampled with seed ``[seed, i]``; a solution that repeats an
-    earlier one is sampled again but not simulated again.
+    earlier one is sampled again but not simulated again.  The distinct
+    solutions are reassembled and simulated as one batch, so the runs they
+    share are composed once.
     """
     if not solutions:
         raise ValueError("need at least one solution")
     n = approx.num_qubits
     base_seed = [seed] if np.ndim(seed) == 0 else list(np.atleast_1d(seed))
-    dists: dict[tuple[int, ...], np.ndarray] = {}
+    distinct = list(dict.fromkeys(tuple(sol) for sol in solutions))
+    dists = dict(zip(distinct, simulate_distributions(reassemble_all(distinct, approx), noise)))
     pooled = np.zeros(1 << n)
     for i, sol in enumerate(solutions):
-        key = tuple(sol)
-        if key not in dists:
-            dists[key] = simulate_distribution(reassemble(sol, approx), noise)
-        counts = sample_counts(dists[key], shots, base_seed + [i])
+        counts = sample_counts(dists[tuple(sol)], shots, base_seed + [i])
         pooled += counts_to_distribution(counts, n) * shots
     return pooled / pooled.sum()
 

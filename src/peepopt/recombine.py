@@ -145,7 +145,7 @@ class ObjectiveTables:
             return cls(*terms)
         edge_distances = {}
         for i, j in graph.edges:
-            union, pos_i, pos_j = pair_embedding(approx.blocks, i, j)
+            union, pos_i, pos_j = pair_embedding(approx.blocks, i, j, graph.edges)
             pairs = pair_unitary_table(unitaries[i], unitaries[j], pos_i, pos_j, len(union))
             edge_distances[(i, j)] = [hs_distance(pairs[0][0], u) for row in pairs for u in row]
         incident = tuple(
@@ -275,14 +275,26 @@ def spread(choice: Solution, blocks: Sequence[int], num_blocks: int) -> Solution
     return tuple(sol)
 
 
+def reassemble_all(solutions: Sequence[Solution], approx: ApproximationSet) -> list[Circuit]:
+    """Full circuit of each solution: its chosen candidates composed in block
+    order.  Each chosen (block, candidate) is remapped to global qubits once,
+    so the circuits share its ``Gate`` objects."""
+    remapped, circuits = {}, []
+    for sol in solutions:
+        gates = []
+        for b, c in enumerate(sol):
+            if (b, c) not in remapped:
+                cand = approx.candidates[b][c]
+                remapped[b, c] = compose([cand.local_circuit], [approx.blocks[b].qubits],
+                                         approx.num_qubits).gates
+            gates += remapped[b, c]
+        circuits.append(Circuit(approx.num_qubits, gates))
+    return circuits
+
+
 def reassemble(sol: Solution, approx: ApproximationSet) -> Circuit:
-    """Full circuit for a solution: chosen candidates composed in block order."""
-    chosen = approx.chosen(sol)
-    return compose(
-        [c.local_circuit for c in chosen],
-        [b.qubits for b in approx.blocks],
-        approx.num_qubits,
-    )
+    """Full circuit for a solution: ``reassemble_all`` of one."""
+    return reassemble_all([sol], approx)[0]
 
 
 def objective(

@@ -15,6 +15,7 @@ from peepopt.circuits import (
     gate_matrix,
     hs_distance,
     rx,
+    u3_matrices,
     u3_matrix,
     unitary_of,
 )
@@ -36,9 +37,8 @@ from peepopt.expand import (
     _fit_batch,
     _plan_batches,
     _stack_bytes,
-    _u3_matrices,
 )
-from peepopt.noise import NoiseModel
+from peepopt.noise import NoiseModel, block_fidelity_score
 from peepopt.partition import scan_partition
 from peepopt.pipeline import RunConfig
 from peepopt.recombine import ObjectiveTables
@@ -279,7 +279,7 @@ class TestTraceObjectiveGradient:
     def test_stacked_u3_matrices_equal_u3_matrix(self):
         rng = np.random.default_rng(12)
         angles = rng.uniform(-4 * np.pi, 4 * np.pi, (5, 3, 3))
-        stacked = _u3_matrices(angles)
+        stacked = u3_matrices(angles)
         assert stacked.shape == (5, 3, 2, 2)
         for idx in np.ndindex(5, 3):
             assert np.array_equal(stacked[idx], u3_matrix(*angles[idx]))
@@ -375,7 +375,7 @@ class _PerFitObjective:
         ops = np.zeros((self.num_ops, dim, dim), dtype=complex)
         pre = np.empty((self.num_ops + 1, dim, dim), dtype=complex)
         pre[0] = np.eye(dim)
-        u, u_pi = _u3_matrices(params.reshape(-1, 3) + _THETA_SHIFT)
+        u, u_pi = u3_matrices(params.reshape(-1, 3) + _THETA_SHIFT)
         v = (u[n::2, :, None, :, None] * u[n + 1::2, None, :, None, :]).reshape(-1, 4, 4)
         flat = ops.reshape(-1)
         flat[self.u_pos] = u[:n]
@@ -709,3 +709,36 @@ class TestApproximationSet:
         assert all(s is not None for s in scores)
         score_candidates(approx, noise)
         assert scores == [c.fidelity_score for cands in approx.candidates for c in cands]
+
+    def test_blocks_score_under_the_noise_of_their_own_qubits(self):
+        # Blocks on (0, 1), (2, 3), (0, 1), (2, 3): an override on qubits 2
+        # and 3 reaches blocks 1 and 3 only, one on qubits 0 and 1 blocks 0
+        # and 2 only.
+        circ = Circuit(4, (rx(0.3, 0), cx(0, 1), rx(0.7, 1), cx(0, 1),
+                           cx(2, 3), rx(0.4, 3), cx(3, 2),
+                           cx(1, 0), rx(1.1, 0),
+                           rx(0.9, 2), cx(2, 3), cx(3, 2)))
+        blocks = scan_partition(circ, 2)
+        assert [b.qubits for b in blocks] == [(0, 1), (2, 3), (0, 1), (2, 3)]
+        approx = expand_all(blocks, 4, 0.4, 0, FAST)
+        uniform = NoiseModel(p1=0.001, p2=0.01)
+
+        def scores(noise):
+            for cands in approx.candidates:
+                for cand in cands:
+                    cand.fidelity_score = None
+            score_candidates(approx, noise)
+            return [[c.fidelity_score for c in cands] for cands in approx.candidates]
+
+        base = scores(uniform)
+        for qubits in ((0, 1), (2, 3)):
+            overrides = {q: (0.2, 0.3) for q in qubits}
+            got = scores(NoiseModel(p1=0.001, p2=0.01, overrides=overrides))
+            local = NoiseModel(p1=0.001, p2=0.01, overrides={0: (0.2, 0.3), 1: (0.2, 0.3)})
+            for block, cands, row, before in zip(blocks, approx.candidates, got, base):
+                if block.qubits == qubits:
+                    assert all(x != y for x, y in zip(row, before)), qubits
+                    assert row == [block_fidelity_score(c.local_circuit, block.local_circuit, local)
+                                   for c in cands]
+                else:
+                    assert row == before, qubits

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from peepopt import noise as noise_module
-from peepopt.circuits import (Circuit, Gate, cx, gate_matrix, gate_plan, gate_product, rx, rz, u3,
-                               unitary_of)
+from peepopt.circuits import (Circuit, Gate, GateKind, cx, gate_matrix, gate_plan, gate_product, rx,
+                               rz, u3, unitary_of)
 from peepopt.noise import (
     DimensionError,
     NoiseModel,
@@ -17,14 +17,19 @@ from peepopt.noise import (
     counts_to_distribution,
     frobenius_distance,
     measure_distribution,
+    _PAIR_ORDER,
+    _batch_channels,
     _gate_channel,
+    _one_qubit_channels,
     _run_channel,
     _runs,
     sample_counts,
     simulate_density,
     simulate_distribution,
+    simulate_distributions,
 )
-from conftest import random_circuit
+from peepopt.qasm import parse_qasm
+from conftest import FIXTURE_FILES, random_circuit
 
 PI = math.pi
 _PAULIS = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
@@ -76,16 +81,31 @@ def _reference_simulate(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
     return rho.reshape(dim, dim)
 
 
+def _reference_channel(noise: NoiseModel):
+    """Gate g's ``_gate_channel`` built on its own, reordered by
+    ``_PAIR_ORDER[same]`` when asked, as ``_run_channel`` reads it."""
+    def channel(g, same=None):
+        s = _gate_channel(gate_matrix(g), noise.gate_prob(g.qubits))
+        if same is None:
+            return s
+        idx = _PAIR_ORDER[same]
+        return s[idx[:, None], idx]
+    return channel
+
+
 def _one_call_simulate(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
-    """``simulate_density`` spelled out on its own: every run applied to the
-    whole 4^n vec(rho), from |0...0>, in one ``gate_product`` call."""
+    """``simulate_density`` spelled out on its own, each gate's channel built
+    per gate: every run applied to the whole 4^n vec(rho), from |0...0>, in
+    one ``gate_product`` call."""
     n = circuit.num_qubits
     dim = 1 << n
     mats, axes = [], []
     for qubits, gates in _runs(circuit.gates):
-        m, on = _run_channel(qubits, gates, noise, n)
-        mats.append(m)
-        axes.append(on)
+        mats.append(_run_channel(qubits, gates, _reference_channel(noise)))
+        if len(gates) == 1:
+            axes.append([n + q for q in qubits] + list(qubits))
+        else:
+            axes.append([v for q in qubits for v in (n + q, q)])
     start = np.zeros((dim * dim, 1), dtype=complex)
     start[0, 0] = 1.0
     return gate_product(mats, gate_plan(axes, 2 * n), 2 * n, start=start).reshape(dim, dim)
@@ -322,6 +342,88 @@ class TestGrowingState:
     def test_dimension_limit(self):
         with pytest.raises(DimensionError):
             simulate_distribution(Circuit(13), NoiseModel())
+
+
+class TestBatch:
+    """One ``_batch_channels`` call per batch: its channels are the per-gate
+    ``_gate_channel``s, and ``simulate_distributions`` gives each circuit the
+    bytes it gets alone."""
+
+    NOISES = {
+        "p0": NoiseModel(),
+        "uniform": NoiseModel(p1=0.001, p2=0.01),
+        "overrides": NoiseModel(p1=0.001, p2=0.01, overrides={1: (0.05, 0.2), 2: (0.0, 0.3)}),
+        "mixed-zero": NoiseModel(overrides={1: (0.02, 0.0)}),
+    }
+
+    @staticmethod
+    def _every_kind(rng: np.random.Generator) -> list[Gate]:
+        """One gate of every kind on each of qubits 0-2, and CX both ways on each pair."""
+        gates = []
+        for q in range(3):
+            gates += [rx(rng.uniform(-PI, PI), q), Gate(GateKind.RY, (rng.uniform(-PI, PI),), (q,)),
+                      rz(rng.uniform(-PI, PI), q), u3(*rng.uniform(-PI, PI, 3), q)]
+        return gates + [cx(a, b) for a, b in itertools.permutations(range(3), 2)]
+
+    @pytest.mark.parametrize("name", sorted(NOISES))
+    def test_gate_channels_equal_gate_channel(self, name):
+        noise = self.NOISES[name]
+        rng = np.random.default_rng(31)
+        gates = [g for _ in range(10) for g in self._every_kind(rng)]
+        ones = [g for g in gates if len(g.qubits) == 1]
+        for g, s in zip(ones, _one_qubit_channels(ones, noise)):
+            _assert_same_array(s, _gate_channel(gate_matrix(g), noise.gate_prob(g.qubits)))
+        batch = _batch_channels([Circuit(3, (g,)) for g in gates], noise)  # one-gate runs
+        for g, ((_, m, _),) in zip(gates, batch):
+            _assert_same_array(m, _gate_channel(gate_matrix(g), noise.gate_prob(g.qubits)))
+
+    @pytest.mark.parametrize("name", sorted(NOISES))
+    def test_run_channels_equal_per_gate_composition(self, name):
+        # Two-qubit runs hold CX in both orientations and one-qubit gates of
+        # every kind on either side.
+        noise = self.NOISES[name]
+        rng = np.random.default_rng(32)
+        circuits = [random_circuit(rng, 3, 24, 0.5) for _ in range(20)]
+        for circuit, batch in zip(circuits, _batch_channels(circuits, noise)):
+            runs = _runs(circuit.gates)
+            assert [qubits for qubits, _, _ in batch] == [qubits for qubits, _ in runs]
+            for (qubits, gates), (_, m, _) in zip(runs, batch):
+                _assert_same_array(m, _run_channel(qubits, gates, _reference_channel(noise)))
+        assert {len(q) for c in circuits for q, gates in _runs(c.gates) if len(gates) > 1} == {1, 2}
+
+    @staticmethod
+    def _assert_batch_is_each_alone(circuits: list[Circuit], noise: NoiseModel) -> None:
+        dists = simulate_distributions(circuits, noise)
+        assert len(dists) == len(circuits)
+        for circuit, dist in zip(circuits, dists):
+            _assert_same_array(dist, simulate_distribution(circuit, noise))
+            _assert_same_array(dist, measure_distribution(_one_call_simulate(circuit, noise),
+                                                          noise.readout))
+
+    @pytest.mark.parametrize("name", sorted(NOISES))
+    def test_fixtures_and_random_circuits(self, name):
+        rng = np.random.default_rng(33)
+        circuits = [parse_qasm(f.read_text()) for f in FIXTURE_FILES]
+        circuits += [random_circuit(rng, n, size) for n in (1, 2, 3, 5) for size in (0, 6, 25)]
+        self._assert_batch_is_each_alone(circuits, self.NOISES[name])
+
+    @pytest.mark.parametrize("name", sorted(NOISES))
+    def test_circuits_sharing_gate_objects(self, name):
+        # Cuts and splices of one gate list share its Gate objects, so their
+        # runs meet in the table; readout needs one width for the batch.
+        rng = np.random.default_rng(34)
+        gates = random_circuit(rng, 4, 40).gates
+        circuits = [Circuit(4, gates[:i] + gates[j:]) for i, j in ((40, 40), (10, 12), (0, 25), (31, 33))]
+        circuits += [Circuit(4, gates[20:] + gates[:20]), circuits[0]]
+        noise = dataclasses.replace(self.NOISES[name], readout=(0.01, 0.0, 0.03, 0.02))
+        self._assert_batch_is_each_alone(circuits, noise)
+
+    def test_checks_every_circuit_before_simulating(self):
+        with pytest.raises(DimensionError, match="readout has 2 entries for a 3-qubit circuit"):
+            simulate_distributions([Circuit(2, (cx(0, 1),)), Circuit(3)], NoiseModel(readout=(0.1, 0.2)))
+        with pytest.raises(DimensionError):
+            simulate_distributions([Circuit(1), Circuit(13)], NoiseModel())
+        assert simulate_distributions([], NoiseModel()) == []
 
 
 class TestMeasureDistribution:

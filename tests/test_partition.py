@@ -127,6 +127,18 @@ class TestPairSubcircuit:
         with pytest.raises(NonAdjacentBlocksError):
             pair_embedding(blocks, 0, 0)
 
+    def test_pair_embedding_reads_the_given_edges(self, monkeypatch):
+        import peepopt.partition as partition_module
+        rng = np.random.default_rng(10)
+        blocks = scan_partition(random_circuit(rng, 5, 30), 3)
+        edges = build_partition_graph(blocks).edges
+        expected = {e: pair_embedding(blocks, *e) for e in edges}
+        monkeypatch.setattr(partition_module, "build_partition_graph", None)  # not built again
+        assert {e: pair_embedding(blocks, *e, edges) for e in edges} == expected
+        i, j = next(iter(edges))
+        with pytest.raises(NonAdjacentBlocksError):
+            pair_embedding(blocks, j, i, edges)
+
     def test_pair_unitary_matches_subcircuit(self):
         rng = np.random.default_rng(9)
         circ = random_circuit(rng, 4, 20)

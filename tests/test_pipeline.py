@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from peepopt import noise as noise_module
 from peepopt import pipeline
 from peepopt.circuits import cnot_count
 from peepopt.cli import main
@@ -13,7 +14,9 @@ from peepopt.noise import (
     NoiseModel,
     counts_to_distribution,
     measure_distribution,
+    sample_counts,
     simulate_density,
+    simulate_distribution,
 )
 from peepopt.pipeline import (
     PipelineError,
@@ -26,7 +29,7 @@ from peepopt.pipeline import (
     run_pipeline,
 )
 from peepopt.qasm import parse_qasm
-from peepopt.recombine import reassemble
+from peepopt.recombine import reassemble, reassemble_all
 from conftest import random_circuit
 
 TINY = (
@@ -215,13 +218,13 @@ class TestEvaluate:
         seed, shots = [4, 1], 512
 
         simulated = []
-        real = pipeline.simulate_distribution
+        real = pipeline.simulate_distributions
 
-        def counting(circ, model):
-            simulated.append(circ)
-            return real(circ, model)
+        def counting(circuits, model):
+            simulated.extend(circuits)
+            return real(circuits, model)
 
-        monkeypatch.setattr(pipeline, "simulate_distribution", counting)
+        monkeypatch.setattr(pipeline, "simulate_distributions", counting)
         dist = ensemble_distribution(solutions, approx, noise, shots, seed)
         assert len(simulated) == 2
 
@@ -230,6 +233,85 @@ class TestEvaluate:
             counts = noisy_counts(reassemble(sol, approx), noise, shots, seed + [i])
             pooled += counts_to_distribution(counts, 3) * shots
         assert np.array_equal(dist, pooled / pooled.sum())
+
+
+def _xy_4_set():
+    """xy_4 at k = 2, fitted with one restart of 40 iterations, and eight
+    solutions of it with repeats, each block's first and last candidate
+    among them."""
+    from peepopt.expand import expand_all, OptBudget
+    from peepopt.partition import scan_partition
+    from conftest import BENCHMARKS
+    circuit = parse_qasm((BENCHMARKS / "xy_4.qasm").read_text())
+    approx = expand_all(scan_partition(circuit, 2), 4, 0.3, 7, OptBudget(restarts=1, max_iters=40))
+    counts = approx.counts()
+    assert max(counts) > 1
+    rng = np.random.default_rng(8)
+    solutions = [tuple(int(rng.integers(a)) for a in counts) for _ in range(5)]
+    solutions += [(0,) * len(counts), solutions[1], tuple(a - 1 for a in counts)]
+    return approx, solutions
+
+
+class TestEnsembleBatch:
+    """``ensemble_distribution`` simulates its distinct solutions as one batch."""
+
+    @pytest.mark.parametrize("noise", [
+        NoiseModel(),
+        NoiseModel(p1=0.001, p2=0.01),
+        NoiseModel(p1=0.001, p2=0.01, readout=(0.02, 0.0, 0.05, 0.01),
+                   overrides={0: (0.01, 0.05), 3: (0.0, 0.1)}),
+    ], ids=["p0", "uniform", "overrides-readout"])
+    def test_equals_the_per_solution_loop(self, noise):
+        approx, solutions = _xy_4_set()
+        seed, shots = [5, 1], 256
+        dist = ensemble_distribution(solutions, approx, noise, shots, seed)
+        # The loop before batching: reassemble and simulate each new solution.
+        dists, pooled = {}, np.zeros(1 << 4)
+        for i, sol in enumerate(solutions):
+            key = tuple(sol)
+            if key not in dists:
+                dists[key] = simulate_distribution(reassemble(sol, approx), noise)
+            counts = sample_counts(dists[key], shots, seed + [i])
+            pooled += counts_to_distribution(counts, 4) * shots
+        assert dist.tobytes() == (pooled / pooled.sum()).tobytes()
+
+    def test_each_distinct_run_is_composed_once(self, monkeypatch):
+        approx, solutions = _xy_4_set()
+        batches, composed = [], []
+        real_batch, real_compose = pipeline.simulate_distributions, noise_module._run_channel
+
+        def batch(circuits, model):
+            batches.append(circuits)
+            return real_batch(circuits, model)
+
+        def compose_run(qubits, gates, channel):
+            composed.append((qubits, *map(id, gates)))
+            return real_compose(qubits, gates, channel)
+
+        monkeypatch.setattr(pipeline, "simulate_distributions", batch)
+        monkeypatch.setattr(noise_module, "_run_channel", compose_run)
+        ensemble_distribution(solutions, approx, NoiseModel(p1=0.001, p2=0.01), 64, [0, 1])
+        (circuits,) = batches
+        assert len(circuits) == len(set(solutions)) == 7
+        runs = [(qubits, *map(id, gates)) for c in circuits
+                for qubits, gates in noise_module._runs(c.gates)]
+        assert len(composed) == len(set(composed)) == len(set(runs))
+        assert len(runs) > len(composed)  # the results share runs
+
+    def test_reassembled_circuits_share_gate_objects(self):
+        approx, solutions = _xy_4_set()
+        circuits = reassemble_all(solutions, approx)
+        assert circuits == [reassemble(sol, approx) for sol in solutions]
+        remapped = {}  # (block, candidate) -> its gates in the first circuit that has it
+        for circuit, sol in zip(circuits, solutions):
+            start = 0
+            for b, c in enumerate(sol):
+                size = len(approx.candidates[b][c].local_circuit.gates)
+                gates = circuit.gates[start:start + size]
+                start += size
+                first = remapped.setdefault((b, c), gates)
+                assert all(g is h for g, h in zip(gates, first))
+        assert len(remapped) < len(solutions) * len(approx.blocks)
 
 
 class TestRunPipeline:
@@ -363,17 +445,17 @@ class TestCli:
         path.write_text('OPENQASM 2.0;\nqreg q[2];\nrx(1e999) q[0];\n'
                         'cx q[0],q[1];\ncx q[1],q[0];\ncx q[0],q[1];\n')
         assert main(["run", "--circuit", str(path), "--k", "2", "--configs", "basic",
-                     "--out", str(tmp_path / "out")]) == 2
+                     "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"error: [parse] {path}: line 3: rx angle not finite: (inf,)"]
         assert main(["partition", "--circuit", str(path), "--k", "2"]) == 1
         assert capsys.readouterr().err.splitlines() == ["error: line 3: rx angle not finite: (inf,)"]
 
-    def test_readout_width_mismatch_is_pipeline_error(self, tiny_qasm, tmp_path, capsys):
+    def test_readout_width_mismatch_is_input_error(self, tiny_qasm, tmp_path, capsys):
         noise = tmp_path / "noise.json"
         noise.write_text(json.dumps({"p1": 0.001, "p2": 0.01, "readout": [0.0, 0.0, 0.0, 0.3]}))
         assert main(["run", "--circuit", str(tiny_qasm), "--k", "2", "--configs", "basic",
-                     "--noise", str(noise), "--out", str(tmp_path / "out")]) == 2
+                     "--noise", str(noise), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: [input] ")
@@ -465,11 +547,36 @@ class TestCli:
         assert main(["metrics", str(good), str(bad), "--qubits", "2"]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
+    # One test per exit code that the README names.
+    def test_success_exit_code(self, tiny_qasm, tmp_path, capsys):
+        assert main(["run", "--circuit", str(tiny_qasm), "--k", "2", "--configs", "basic",
+                     "--c", "1", "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_input_error_exit_code(self, tmp_path, capsys):
-        assert main(["partition", "--circuit", str(tmp_path / "none.qasm")]) == 1
+        missing = tmp_path / "none.qasm"
+        bad = tmp_path / "bad.qasm"
+        bad.write_text("OPENQASM 2.0;\nqreg q[2];\nfoo q[0];\n")
+        out = ["--out", str(tmp_path / "out")]
+        cases = [
+            (["partition", "--circuit", str(missing)], "error: [Errno 2]"),
+            (["run", "--circuit", str(missing)] + out, f"error: [input] {missing}: "),
+            (["partition", "--circuit", str(bad)], "error: line 3: "),
+            (["run", "--circuit", str(bad)] + out, f"error: [parse] {bad}: line 3: "),
+            (["run", "--circuit", str(bad)],
+             "error: peepopt run: the following arguments are required: --out"),
+            (["run", "--circuit", str(bad), "--k", "two"] + out,
+             "error: peepopt run: argument --k: invalid int value: 'two'"),
+            (["bogus"], "error: peepopt: argument command: invalid choice: 'bogus'"),
+        ]
+        for argv, message in cases:
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(message), (argv, err)
 
     def test_pipeline_error_exit_code(self, tmp_path, capsys):
-        assert main([
-            "run", "--circuit", str(tmp_path / "none.qasm"),
-            "--out", str(tmp_path / "out"),
-        ]) == 2
+        empty = tmp_path / "empty.qasm"
+        empty.write_text('OPENQASM 2.0;\nqreg q[2];\n')
+        assert main(["run", "--circuit", str(empty), "--k", "2", "--configs", "basic",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: [recombine] basic: ")

@@ -115,7 +115,7 @@ class TestDiagnostics:
         message = "line 4: angle expression nested too deeply"
         assert main(["partition", "--circuit", str(path)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
-        assert main(["run", "--circuit", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert main(["run", "--circuit", str(path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: [parse] {path}: {message}"]
 
     @pytest.mark.parametrize("angle, shown", [

@@ -166,6 +166,14 @@ class TestObjectiveTables:
                         sol, others, approx, graph, cfg), (mode, sol, others)
 
 
+    def test_cascade_tables_read_the_given_graph(self, monkeypatch):
+        import peepopt.partition as partition_module
+        approx, graph = _expanded("xy_4", 2, 3)
+        expected = ObjectiveTables.build(approx, graph)
+        assert expected.edge_distances
+        monkeypatch.setattr(partition_module, "build_partition_graph", None)  # not built per edge
+        assert ObjectiveTables.build(approx, graph) == expected
+
     def test_objective_unchanged_when_term_memo_overflows(self, monkeypatch):
         # f keeps at most three values, so its memo empties over and over.
         monkeypatch.setattr(recombine_module, "TERM_MEMO_SIZE", 3)
